@@ -42,7 +42,6 @@ var chainSpec = fitSpec{
 }
 
 const (
-	hessStep = 5e-3 // inla.DefaultFitOptions().HessStep
 	// setupRepeats is how often set-up is repeated to report its median.
 	setupRepeats = 5
 	// datasetStride separates the dataset seeds of one run, so runs with
@@ -82,46 +81,81 @@ func hessianPoints(d int) int { return 2*d*d + 1 }
 // fitResult is one complete fit's outputs and wall time.
 type fitResult struct {
 	opt      *inla.OptResult
-	hess     *dense.Matrix
+	thetaSD  []float64 // nil when the Hessian at the mode is not positive definite
 	mu, vars []float64
 	wall     time.Duration
 }
 
 func (r *fitResult) fevals() int { return r.opt.FEvals + hessianPoints(len(r.opt.Theta)) }
 
-// fit runs one complete INLA fit the way inla.Fit composes it: the BFGS
-// mode search, the Hessian at the mode, then the latent marginals. tr
-// (nil = untraced) gets one span per stage.
-func (s fitSpec) fit(e inla.Evaluator, theta0 []float64, tr *tracer) (*fitResult, error) {
-	opt := inla.DefaultOptOptions()
-	opt.MaxIter = s.maxIter
+// fitOptions is the fit recipe: the program's defaults with the mode search
+// capped at maxIter iterations.
+func (s fitSpec) fitOptions() inla.FitOptions {
+	opts := inla.DefaultFitOptions()
+	opts.Opt.MaxIter = s.maxIter
+	return opts
+}
+
+// fit runs one complete fit through the program's own inla.Fit.
+func (s fitSpec) fit(ds *synth.Dataset) (*fitResult, error) {
+	t0 := time.Now()
+	res, err := inla.Fit(ds.Model, prior(ds), ds.Theta0, s.fitOptions())
+	wall := time.Since(t0)
+	if err != nil {
+		return nil, err
+	}
+	return &fitResult{opt: res.Opt, thetaSD: res.ThetaSD, mu: res.Mu, vars: res.LatentVar, wall: wall}, nil
+}
+
+// fitTraced runs the stages of inla.Fit on a wrapped evaluator, which
+// inla.Fit cannot take, with one span per stage: the BFGS mode search, the
+// Hessian at the mode and its inverse, then the latent marginals. Like
+// inla.Fit it carries on from the mode a stalled line search returns, and
+// drops the hyperparameter uncertainty when the Hessian fails.
+func (s fitSpec) fitTraced(e inla.Evaluator, theta0 []float64, tr *tracer) (*fitResult, error) {
+	opts := s.fitOptions()
 	t0 := time.Now()
 	root := tr.begin("fit")
 	sp := tr.begin("inla.Minimize")
-	or, err := inla.Minimize(e, theta0, opt)
+	or, err := inla.Minimize(e, theta0, opts.Opt)
 	tr.end(sp)
-	if err != nil {
+	if or == nil {
 		return nil, fmt.Errorf("mode search: %w", err)
 	}
+	r := &fitResult{opt: or}
 	sp = tr.begin("inla.HessianAtMode")
-	h, err := inla.HessianAtMode(e, or.Theta, hessStep)
+	h, err := inla.HessianAtMode(e, or.Theta, opts.HessStep)
 	tr.end(sp)
-	if err != nil {
-		return nil, fmt.Errorf("hessian: %w", err)
+	if err == nil {
+		sp = tr.begin("dense.Inverse")
+		cov, err := dense.Inverse(h)
+		tr.end(sp)
+		if err == nil {
+			r.thetaSD = make([]float64, len(or.Theta))
+			for i := range r.thetaSD {
+				if v := cov.At(i, i); v > 0 {
+					r.thetaSD[i] = math.Sqrt(v)
+				} else {
+					r.thetaSD = nil
+					break
+				}
+			}
+		}
 	}
 	sp = tr.begin("inla.Posterior")
-	mu, va, err := e.Posterior(or.Theta)
+	r.mu, r.vars, err = e.Posterior(or.Theta)
 	tr.end(sp)
 	tr.end(root)
 	if err != nil {
 		return nil, fmt.Errorf("latent marginals: %w", err)
 	}
-	return &fitResult{opt: or, hess: h, mu: mu, vars: va, wall: time.Since(t0)}, nil
+	r.wall = time.Since(t0)
+	return r, nil
 }
 
 // check verifies one fit's outputs: F* against an independent sequential
-// evaluation at θ*, against the recorded value on the recorded seed, and
-// finite positive latent marginal variances.
+// evaluation at θ*, against the recorded value on the recorded seed, finite
+// hyperparameter sds, and finite positive latent marginal variances.
 func (s fitSpec) check(ds *synth.Dataset, seed int64, r *fitResult) []string {
 	var probs []string
 	parts, err := inla.EvalFobj(ds.Model, prior(ds), r.opt.Theta, false)
@@ -135,9 +169,9 @@ func (s fitSpec) check(ds *synth.Dataset, seed int64, r *fitResult) []string {
 			probs = append(probs, fmt.Sprintf("seed %d: F*=%.10f, recorded %.10f (rel %.2g)", seed, r.opt.F, s.recordedF, e))
 		}
 	}
-	for _, v := range r.hess.Data {
+	for _, v := range r.thetaSD {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			probs = append(probs, fmt.Sprintf("seed %d: non-finite Hessian entry", seed))
+			probs = append(probs, fmt.Sprintf("seed %d: non-finite hyperparameter sd", seed))
 			break
 		}
 	}
@@ -209,7 +243,7 @@ func runFit(s fitSpec, cfg config) (*report, error) {
 		}
 		rep.attempted++
 		heap := sampleHeap()
-		r, err := s.fit(evaluator(ds), ds.Theta0, nil)
+		r, err := s.fit(ds)
 		heapMB := heap.medianMB()
 		if err != nil {
 			rep.failed++
@@ -217,8 +251,8 @@ func runFit(s fitSpec, cfg config) (*report, error) {
 			continue
 		}
 		heaps = append(heaps, heapMB)
-		fmt.Printf("  fit seed=%d F*=%.10f iterations=%d evaluations=%d wall=%.3fs live_heap=%.1fMB\n",
-			seed, r.opt.F, r.opt.Iterations, r.fevals(), r.wall.Seconds(), heapMB)
+		fmt.Printf("  fit seed=%d F*=%.10f iterations=%d evaluations=%d theta_sd=%v wall=%.3fs live_heap=%.1fMB\n",
+			seed, r.opt.F, r.opt.Iterations, r.fevals(), r.thetaSD != nil, r.wall.Seconds(), heapMB)
 		if probs := s.check(ds, seed, r); len(probs) > 0 {
 			rep.failed++
 			rep.problems = append(rep.problems, probs...)
@@ -288,14 +322,14 @@ func (s fitSpec) traced(cfg config, ds *synth.Dataset, rep *report) error {
 	var r *fitResult
 	var fitSpans []span
 	for start := time.Now(); len(tracedS) == 0 || time.Since(start) < cfg.seconds; {
-		base, err := s.fit(evaluator(ds), ds.Theta0, nil)
+		base, err := s.fit(ds)
 		if err != nil {
 			return fmt.Errorf("untraced fit: %w", err)
 		}
 		tr := newTracer(t0)
 		tr.setOp("fit-%d", len(tracedS))
 		e := &tracedEvaluator{inner: evaluator(ds), tr: tr}
-		res, err := s.fit(e, ds.Theta0, tr)
+		res, err := s.fitTraced(e, ds.Theta0, tr)
 		if err != nil {
 			return fmt.Errorf("traced fit: %w", err)
 		}

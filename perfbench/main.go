@@ -101,9 +101,8 @@ func main() {
 	seconds := flag.Float64("seconds", 20, "measuring time in seconds")
 	trace := flag.Int("trace", 0, "1 = traced run reporting per-layer metrics")
 	recordDir := flag.String("record-dir", "", "directory for the run record and its spans (empty = none)")
-	listPath := flag.String("metrics", "BENCHMARK.json", "file declaring the metrics and their units")
 	flag.Parse()
-	list, err := loadMetricList(*listPath)
+	list, err := loadMetricList("BENCHMARK.json")
 	if err != nil {
 		fatal(err)
 	}

@@ -29,9 +29,6 @@ const (
 	// the share of the measuring time phase 1 gets, phase 2 the rest.
 	openRate  = 300
 	openShare = 0.4
-	// capacityWindow is the width of the closed-loop windows whose median
-	// rate is the capacity.
-	capacityWindow = time.Second
 	// conns is the generator's keep-alive connection count in both phases.
 	conns          = 2
 	queriesPerReq  = 8
@@ -142,10 +139,13 @@ func serveAP1(cfg config) (*report, error) {
 	rep.attempted = open.counts.sent + closed.counts.sent
 	rep.failed = open.counts.failed + open.counts.shed + closed.counts.failed + closed.counts.shed
 
+	if len(open.latMs) == 0 {
+		return nil, fmt.Errorf("no open-loop request succeeded: %v", rep.problems)
+	}
 	sort.Float64s(open.latMs)
 	p50 := quantile(open.latMs, 0.5)
 	rep.e2e.set(mP50, p50, "ms")
-	rep.e2e.set(mThroughput, closed.windowRate(capacityWindow)*queriesPerReq, "1/s")
+	rep.e2e.set(mThroughput, float64(closed.counts.ok*queriesPerReq)/closed.elapsed.Seconds(), "1/s")
 
 	if !cfg.trace {
 		return rep, nil
@@ -245,29 +245,11 @@ func newGenerator(base string, pool []request) *generator {
 // phaseResult is what one load phase measured.
 type phaseResult struct {
 	counts   phaseCounts
-	latMs    []float64       // per request, from when it was due (open loop) or sent
-	lateMs   []float64       // open loop: how late each request was sent
-	okAt     []time.Duration // since the phase started, when each request succeeded
+	latMs    []float64 // per request, from when it was due (open loop) or sent
+	lateMs   []float64 // open loop: how late each request was sent
 	elapsed  time.Duration
 	problems []string
 	spans    [][]span
-}
-
-// windowRate is the median over the phase's full windows of width w of the
-// successful requests per second; a median of windows is not moved by a
-// stall or burst of the host in one of them.
-func (p *phaseResult) windowRate(w time.Duration) float64 {
-	n := int(p.elapsed / w)
-	if n == 0 {
-		return float64(p.counts.ok) / p.elapsed.Seconds()
-	}
-	counts := make([]float64, n)
-	for _, t := range p.okAt {
-		if i := int(t / w); i < n {
-			counts[i]++
-		}
-	}
-	return median(counts) / w.Seconds()
 }
 
 // send posts pool request i and classifies the reply: ok, shed (429) or
@@ -343,14 +325,13 @@ func (g *generator) run(phase string, trace bool, t0 time.Time, next func() (int
 				switch {
 				case ok:
 					local.counts.ok++
-					local.okAt = append(local.okAt, done.Sub(start))
+					local.latMs = append(local.latMs, ms(done.Sub(due)))
 				case shed:
 					local.counts.shed++
 				default:
 					local.counts.failed++
 					local.problems = append(local.problems, phase+" loop: "+problem)
 				}
-				local.latMs = append(local.latMs, ms(done.Sub(due)))
 				local.lateMs = append(local.lateMs, ms(sent.Sub(due)))
 			}
 			tr.end(root)
@@ -359,7 +340,6 @@ func (g *generator) run(phase string, trace bool, t0 time.Time, next func() (int
 			res.counts.add(local.counts)
 			res.latMs = append(res.latMs, local.latMs...)
 			res.lateMs = append(res.lateMs, local.lateMs...)
-			res.okAt = append(res.okAt, local.okAt...)
 			res.problems = append(res.problems, local.problems...)
 			if tr != nil {
 				res.spans = append(res.spans, tr.spans)
