@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/big"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -97,7 +98,7 @@ const precisionMode = "fp64"
 
 func main() {
 	name := flag.String("workload", "", "workload to run: fit-ap1, fit-chain or serve-ap1")
-	seed := flag.Int64("seed", -1, "workload seed (-1 = the workload's default seed)")
+	seed := flag.String("seed", "", "workload seed, any integer (empty = the workload's default seed)")
 	seconds := flag.Float64("seconds", 20, "measuring time in seconds")
 	trace := flag.Int("trace", 0, "1 = traced run reporting per-layer metrics")
 	recordDir := flag.String("record-dir", "", "directory for the run record and its spans (empty = none)")
@@ -119,9 +120,11 @@ func main() {
 	if *seconds <= 0 || (*trace != 0 && *trace != 1) {
 		fatal(errors.New("-seconds must be positive and -trace 0 or 1"))
 	}
-	cfg := config{seed: *seed, seconds: time.Duration(*seconds * float64(time.Second)), trace: *trace == 1}
-	if cfg.seed < 0 {
-		cfg.seed = w.defaultSeed
+	cfg := config{seed: w.defaultSeed, seconds: time.Duration(*seconds * float64(time.Second)), trace: *trace == 1}
+	if *seed != "" {
+		if cfg.seed, err = parseSeed(*seed); err != nil {
+			fatal(err)
+		}
 	}
 	host := map[string]any{
 		"num_cpu":    runtime.NumCPU(),
@@ -173,6 +176,16 @@ func main() {
 		fatal(err)
 	}
 	fmt.Println(string(last))
+}
+
+// parseSeed reads a seed of any size or sign and maps it onto [0, 2⁶³)
+// by reducing it modulo 2⁶³, so seeds in that range are used as given.
+func parseSeed(s string) (int64, error) {
+	v, ok := new(big.Int).SetString(s, 10)
+	if !ok {
+		return 0, fmt.Errorf("-seed %q is not an integer", s)
+	}
+	return v.Mod(v, new(big.Int).Lsh(big.NewInt(1), 63)).Int64(), nil
 }
 
 func fatal(err error) {

@@ -170,8 +170,14 @@ func serveAP1(cfg config) (*report, error) {
 		L.set("serve."+ph.name+"_failed", float64(ph.c.failed), "count")
 		L.set("serve."+ph.name+"_shed", float64(ph.c.shed), "count")
 	}
-	b8 := predictRow(m.Snapshot(), pool, queriesPerReq)
-	b64 := predictRow(m.Snapshot(), pool, 64)
+	b8, err := predictRow(m.Snapshot(), pool, queriesPerReq)
+	if err != nil {
+		return nil, err
+	}
+	b64, err := predictRow(m.Snapshot(), pool, 64)
+	if err != nil {
+		return nil, err
+	}
 	L.set("predict.batch8_ms", b8, "ms")
 	L.set("predict.batch64_ms", b64, "ms")
 	L.set("predict.us_per_query", 1000*b64/64, "us")
@@ -398,7 +404,7 @@ func (g *generator) stats() (*serve.Stats, error) {
 
 // predictRow is the median time of one Snapshot.PredictInto call on k
 // queries taken from the request pool.
-func predictRow(s *predict.Snapshot, pool []request, k int) float64 {
+func predictRow(s *predict.Snapshot, pool []request, k int) (float64, error) {
 	var qs []predict.Query
 	for i := 0; len(qs) < k; i++ {
 		qs = append(qs, pool[i%len(pool)].qs...)
@@ -409,9 +415,9 @@ func predictRow(s *predict.Snapshot, pool []request, k int) float64 {
 	for start := time.Now(); time.Since(start) < predictMinTime; {
 		t0 := time.Now()
 		if err := s.PredictInto(qs, means, vars); err != nil {
-			panic(err) // the same queries were answered by the reference
+			return 0, fmt.Errorf("predict row of %d queries: %w", k, err)
 		}
 		times = append(times, ms(time.Since(t0)))
 	}
-	return median(times)
+	return median(times), nil
 }
