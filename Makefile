@@ -1,6 +1,8 @@
 # DALIA-Go build/verify/bench targets.
 #
-#   make test       — tier-1 verification: vet + build + full test suite
+#   make test       — tier-1 verification: vet + build + full test suite,
+#                     plus vet of the nested benchmark module (perfbench/),
+#                     which ./... does not reach
 #   make ci         — the CI pipeline locally: gofmt gate, tier-1, race,
 #                     purego fallback, then the non-blocking bench smoke
 #   make ci-local   — the full workflow job sequence, including the
@@ -8,7 +10,8 @@
 #                     cross-build and the latency gate — what a green run
 #                     of .github/workflows/ci.yml proves, runnable offline
 #   make bench      — microbenchmarks (testing.B, 1 iteration, with allocs)
-#   make baseline   — write BENCH_$(PR).json: the perf baseline this PR
+#   make baseline   — write $(BENCH) (refused if the file exists: stored
+#                     baselines are never overwritten): the perf baseline this PR
 #                     establishes (EXP selects the experiment; PR 1 wrote
 #                     the kernels baseline, PR 2 the serving baseline,
 #                     PR 3 the parallel-in-time baseline, PR 4 the hybrid
@@ -30,9 +33,8 @@
 #                     vs BENCH_8.json (40% floor; the gate also refuses
 #                     a baseline recorded under a different precision mode)
 #                     and the task-DAG scheduler vs BENCH_9.json (40%
-#                     floor, plus the unconditional DAG-vs-phase-barrier
-#                     neutrality check of the current run)
-#   make all        — everything above
+#                     floor on the dag and spawn/join rates)
+#   make all        — test and bench (baseline is run explicitly)
 
 GO ?= go
 # PR/BASE/BENCH parameterize the baseline artifact so successive PRs never
@@ -46,7 +48,7 @@ EXP ?= sched
 
 .PHONY: all test vet fmt-check race purego bench baseline bench-smoke ci ci-local
 
-all: test bench baseline
+all: test bench
 
 fmt-check:
 	@files=$$(gofmt -l .); \
@@ -58,6 +60,7 @@ vet:
 	$(GO) vet ./...
 
 test: vet
+	$(GO) -C perfbench vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
 
@@ -72,6 +75,9 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...
 
 baseline:
+	@if [ -e $(BENCH) ]; then \
+		echo "$(BENCH) exists; set PR/BASE or BENCH to a new file"; exit 1; \
+	fi
 	$(GO) run ./cmd/dalia-bench -exp=$(EXP) -out $(BENCH)
 
 bench-smoke:

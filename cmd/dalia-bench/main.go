@@ -30,11 +30,10 @@
 // (mixed precision: fp32 vs fp64 GEMM/POTRF GFLOP/s and the mixed
 // per-stage BTA factor+solve cycle with its refinement iteration count;
 // -out writes BENCH_8.json, -compare gates GEMM rates against one and
-// refuses cross-mode baselines), sched (work-stealing task-DAG executor
-// vs the legacy phase-barrier concurrency: gradient-batch makespan,
-// width-1 evaluation latency and raw spawn/join rate, num_cpu recorded;
-// -out writes BENCH_9.json, -compare gates rates against one and always
-// checks DAG-vs-barrier neutrality of the current run).
+// refuses cross-mode baselines), sched (work-stealing task-DAG executor:
+// gradient-batch makespan, width-1 evaluation latency and raw spawn/join
+// rate, num_cpu recorded; -out writes BENCH_9.json, -compare gates rates
+// against one).
 package main
 
 import (
@@ -323,7 +322,7 @@ func main() {
 			}
 			return nil
 		}},
-		{"sched", "task-DAG executor vs phase-barrier (gradient-batch makespan, spawn/join rate)", func(quick bool) error {
+		{"sched", "task-DAG executor (gradient-batch makespan, spawn/join rate)", func(quick bool) error {
 			base, err := bench.Sched(quick)
 			if err != nil {
 				return err
@@ -341,9 +340,9 @@ func main() {
 					return err
 				}
 				if !bench.SchedComparable(base, stored) {
-					fmt.Printf("    baseline gate skipped: GOMAXPROCS %d here vs %d in %s (makespans not comparable; neutrality still checked)\n",
+					fmt.Printf("    baseline gate skipped: GOMAXPROCS %d here vs %d in %s (makespans not comparable)\n",
 						base.GoMaxProcs, stored.GoMaxProcs, *compare)
-					stored = nil
+					return nil
 				}
 				regs := bench.CompareSched(base, stored, *maxRegress)
 				if len(regs) > 0 {
@@ -352,7 +351,7 @@ func main() {
 					}
 					return fmt.Errorf("%d sched regression(s) beyond %.0f%% vs %s", len(regs), *maxRegress*100, *compare)
 				}
-				fmt.Printf("    dag within tolerance of phase-barrier; no rate regression beyond %.0f%% vs %s\n", *maxRegress*100, *compare)
+				fmt.Printf("    no rate regression beyond %.0f%% vs %s\n", *maxRegress*100, *compare)
 			}
 			return nil
 		}},

@@ -128,16 +128,15 @@ type (
 
 // Posterior-prediction and serving types (the fit-once/serve-many layer).
 type (
-	// Predictor is a goroutine-safe posterior prediction engine bound to a
-	// fitted model: batched predictive means and variances at arbitrary new
-	// space-time locations through the mode-factorized Q_c.
-	Predictor = predict.Predictor
 	// PredictQuery asks for one response at one space-time location.
 	PredictQuery = predict.Query
-	// PredictOption customizes a Predictor (batch width, observation noise).
+	// PredictOption customizes a PredictSnapshot (batch width, observation
+	// noise).
 	PredictOption = predict.Option
-	// PredictSnapshot is an immutable read-only prediction engine: any
-	// number of goroutines query it concurrently with zero locking.
+	// PredictSnapshot is an immutable read-only posterior prediction engine
+	// bound to a fitted model: batched predictive means and variances at
+	// arbitrary new space-time locations through the mode-factorized Q_c.
+	// Any number of goroutines query it concurrently with zero locking.
 	PredictSnapshot = predict.Snapshot
 	// PredictHandle is an atomically swappable reference to the current
 	// snapshot of a model — refits publish without blocking readers.
@@ -191,18 +190,6 @@ func MarshalResult(r *Result) []byte { return inla.MarshalResult(r) }
 // UnmarshalResult decodes a MarshalResult payload, rejecting truncated or
 // corrupt input.
 func UnmarshalResult(data []byte) (*Result, error) { return inla.UnmarshalResult(data) }
-
-// ErrConcurrentPredict is returned by a Predictor backed by the parallel
-// (partitioned) factorization when two goroutines call it at once: the
-// parallel backend shares per-partition scratch and is strictly
-// single-flight. Concurrent serving wants NewPredictSnapshot instead.
-var ErrConcurrentPredict = predict.ErrConcurrentParallel
-
-// NewPredictor builds a posterior prediction engine from a fit result,
-// factorizing Q_c at the fitted mode once.
-func NewPredictor(m *Model, res *Result, opts ...PredictOption) (*Predictor, error) {
-	return predict.New(m, res, opts...)
-}
 
 // WithPredictMaxBatch sets the predictor's multi-RHS coalescing width.
 func WithPredictMaxBatch(k int) PredictOption { return predict.WithMaxBatch(k) }

@@ -12,33 +12,27 @@ import (
 )
 
 // SchedResult is one measured point of the task-DAG scheduler experiment.
-// Rows come in dag/barrier pairs measuring the same workload on the
-// work-stealing executor versus the legacy phase-synchronized goroutine
-// gangs; Speedup on the dag row is barrier-seconds over dag-seconds, so
-// > 1 means the DAG path won and ≈ 1 means overhead-neutral.
 type SchedResult struct {
 	// Kind is "gradbatch" (a 2d+1-point gradient-stencil EvalBatch — the
 	// mode search's hot loop, where cross-θ-evaluation overlap pays),
 	// "evalbatch1" (a width-1 line-search evaluation whose solver phases
 	// run as partition tasks), or "spawnjoin" (raw executor spawn/join
-	// cycles of empty tasks — the scheduling overhead itself, dag only).
+	// cycles of empty tasks — the scheduling overhead itself).
 	Kind string `json:"kind"`
-	// Mode is "dag" (shared work-stealing executor) or "barrier"
-	// (PhaseBarrier: fresh goroutine gangs with a barrier per phase).
+	// Mode is "dag" (the shared work-stealing executor). Baselines recorded
+	// while the phase-barrier schedule still existed also carry "barrier"
+	// rows, which no current row matches.
 	Mode    string  `json:"mode"`
 	Points  int     `json:"points,omitempty"` // batch width (eval rows)
 	Tasks   int     `json:"tasks,omitempty"`  // tasks per join (spawnjoin)
 	Seconds float64 `json:"seconds"`          // latency per operation
 	PerSec  float64 `json:"per_sec"`
-	Speedup float64 `json:"speedup,omitempty"`
 }
 
 // SchedBaseline is the serialized task-DAG scheduler baseline
 // (BENCH_9.json): gradient-batch makespan and width-1 evaluation latency
-// on the DAG executor versus the phase-barrier path, plus the raw
-// spawn/join rate. NumCPU records the hardware parallelism — on one CPU
-// the dag/barrier pairs measure pure scheduling overhead (the acceptance
-// bar is neutrality), while at ≥ 4 CPUs the DAG path must not lose.
+// on the DAG executor, plus the raw spawn/join rate. NumCPU records the
+// hardware parallelism.
 type SchedBaseline struct {
 	GoMaxProcs int `json:"gomaxprocs"`
 	NumCPU     int `json:"num_cpu"`
@@ -51,13 +45,12 @@ type SchedBaseline struct {
 	Results   []SchedResult `json:"results"`
 }
 
-// Sched measures the work-stealing task-DAG executor against the legacy
-// phase-barrier concurrency on a time-deep univariate model: the
-// 2d+1-point gradient-stencil EvalBatch (where evaluations from different
-// θ points interleave on one worker pool), the width-1 line-search
-// evaluation (per-phase solver gangs become partition tasks), and the raw
-// spawn/join cycle rate of the executor itself. quick trims repetitions,
-// not the workload.
+// Sched measures the work-stealing task-DAG executor on a time-deep
+// univariate model: the 2d+1-point gradient-stencil EvalBatch (where
+// evaluations from different θ points interleave on one worker pool), the
+// width-1 line-search evaluation (solver phases run as partition tasks),
+// and the raw spawn/join cycle rate of the executor itself. quick trims
+// repetitions, not the workload.
 func Sched(quick bool) (*SchedBaseline, error) {
 	ds, err := synth.Generate(synth.GenConfig{
 		Nv: 1, Nt: 48, Nr: 2,
@@ -83,9 +76,8 @@ func Sched(quick bool) (*SchedBaseline, error) {
 	prior := inla.WeakPrior(ds.Theta0, 5)
 
 	// The 2d+1-point central-difference stencil of the mode search's
-	// gradient: the makespan workload where the DAG path overlaps the
-	// solver phases of different θ evaluations instead of barriering
-	// between batch points.
+	// gradient: the makespan workload where the executor overlaps the
+	// solver phases of different θ evaluations.
 	d := len(ds.Theta0)
 	stencil := make([][]float64, 2*d+1)
 	for i := range stencil {
@@ -97,33 +89,22 @@ func Sched(quick bool) (*SchedBaseline, error) {
 		stencil[2*k+2][k] -= h
 	}
 
-	evalPair := func(kind string, points [][]float64, partitions int) {
-		var barrierSecs float64
-		for _, mode := range []string{"barrier", "dag"} {
-			e := &inla.BTAEvaluator{Model: m, Prior: prior, S2: true,
-				Partitions: partitions, PhaseBarrier: mode == "barrier"}
-			e.EvalBatch(points) // warm the scratch pool
-			secs := timeIt(reps, func() { e.EvalBatch(points) })
-			r := SchedResult{Kind: kind, Mode: mode, Points: len(points),
-				Seconds: secs, PerSec: 1 / secs}
-			if mode == "barrier" {
-				barrierSecs = secs
-			} else if barrierSecs > 0 {
-				r.Speedup = barrierSecs / secs
-			}
-			out.Results = append(out.Results, r)
-		}
+	evalRow := func(kind string, points [][]float64, partitions int) {
+		e := &inla.BTAEvaluator{Model: m, Prior: prior, S2: true, Partitions: partitions}
+		e.EvalBatch(points) // warm the scratch pool
+		secs := timeIt(reps, func() { e.EvalBatch(points) })
+		out.Results = append(out.Results, SchedResult{Kind: kind, Mode: "dag",
+			Points: len(points), Seconds: secs, PerSec: 1 / secs})
 	}
 
 	// Gradient-batch makespan: batch-level parallelism dominates, the
 	// plan keeps the solver sequential inside each point.
-	evalPair("gradbatch", stencil, 0)
+	evalRow("gradbatch", stencil, 0)
 
 	// Width-1 line-search evaluation: the plan spends the cores inside
-	// the factorization, so the dag/barrier pair compares partition-task
-	// scheduling against per-phase goroutine gangs.
+	// the factorization, which runs as partition tasks.
 	plan := inla.PlanBatch(1, 0, n, true)
-	evalPair("evalbatch1", [][]float64{ds.Theta0}, plan.Partitions)
+	evalRow("evalbatch1", [][]float64{ds.Theta0}, plan.Partitions)
 
 	// Raw executor spawn/join rate: one lane, spawnTasks empty tasks per
 	// join cycle on a private executor sized like the shared one. This is
@@ -180,47 +161,22 @@ func LoadSchedBaseline(path string) (*SchedBaseline, error) {
 }
 
 // SchedComparable reports whether two scheduler runs can be gated against
-// each other: both the DAG makespans and the goroutine-gang latencies
-// scale with the worker pool, so a GOMAXPROCS mismatch would flag the
-// host configuration rather than a code regression.
+// each other: the makespans scale with the worker pool, so a GOMAXPROCS
+// mismatch would flag the host configuration rather than a code
+// regression.
 func SchedComparable(cur, base *SchedBaseline) bool {
 	return cur.GoMaxProcs == base.GoMaxProcs
 }
 
-// schedOverheadSlack is the tolerated dag-over-barrier makespan ratio on
-// hosts without real parallelism (NumCPU < 4): the DAG path must be
-// overhead-neutral within 10%. At NumCPU ≥ 4 the same check runs with no
-// slack — the DAG path must not lose outright.
-const schedOverheadSlack = 1.10
-
 // CompareSched checks the current measurements against a stored baseline
-// and returns one description per failure. Two families of checks: every
-// (kind, mode) rate must hold (1−maxRegress) of the baseline, and —
-// independent of the baseline — each dag row of the current run must beat
-// its barrier partner (NumCPU ≥ 4) or stay within schedOverheadSlack of
-// it (fewer CPUs, where the DAG path can only add overhead). Rows too
-// short to time reliably are informational.
+// and returns one description per failure: every (kind, mode) rate must
+// hold (1−maxRegress) of the baseline. Rows too short to time reliably are
+// informational.
 func CompareSched(cur, base *SchedBaseline, maxRegress float64) []string {
+	if !SchedComparable(cur, base) {
+		return nil
+	}
 	var failures []string
-	slack := 1.0
-	if cur.NumCPU < 4 {
-		slack = schedOverheadSlack
-	}
-	for _, r := range cur.Results {
-		if r.Mode != "dag" || r.Speedup <= 0 || r.Seconds < minCompareSeconds {
-			continue
-		}
-		// Speedup is barrier/dag; below 1/slack the DAG path lost by more
-		// than the tolerated overhead.
-		if r.Speedup*slack < 1 {
-			failures = append(failures,
-				fmt.Sprintf("%s: dag %.0f%% slower than phase-barrier (tolerance %.0f%%, %d CPUs)",
-					r.Kind, 100*(1/r.Speedup-1), 100*(slack-1), cur.NumCPU))
-		}
-	}
-	if base == nil || !SchedComparable(cur, base) {
-		return failures
-	}
 	key := func(r SchedResult) string { return fmt.Sprintf("%s/%s", r.Kind, r.Mode) }
 	baseRate := map[string]float64{}
 	for _, r := range base.Results {
@@ -248,22 +204,15 @@ func CompareSched(cur, base *SchedBaseline, maxRegress float64) []string {
 
 // PrintSched renders the scheduler table.
 func PrintSched(b *SchedBaseline, w *os.File) {
-	fmt.Fprintf(w, "  task-DAG executor vs phase-barrier (nt=%d, b=%d, a=%d, GOMAXPROCS=%d, %d hardware CPUs)\n",
+	fmt.Fprintf(w, "  task-DAG executor (nt=%d, b=%d, a=%d, GOMAXPROCS=%d, %d hardware CPUs)\n",
 		b.Nt, b.BlockSize, b.ArrowSize, b.GoMaxProcs, b.NumCPU)
-	if b.NumCPU < 4 {
-		fmt.Fprintf(w, "  note: %d hardware CPU(s) — dag/barrier pairs measure scheduling overhead (bar: within 10%%), not overlap speedup\n", b.NumCPU)
-	}
-	fmt.Fprintf(w, "  %-12s %-9s %7s %12s %10s %8s\n", "kind", "mode", "width", "latency", "ops/s", "speedup")
+	fmt.Fprintf(w, "  %-12s %-9s %7s %12s %10s\n", "kind", "mode", "width", "latency", "ops/s")
 	for _, r := range b.Results {
 		width := r.Points
 		if r.Kind == "spawnjoin" {
 			width = r.Tasks
 		}
-		sp := "-"
-		if r.Speedup > 0 {
-			sp = fmt.Sprintf("%.2fx", r.Speedup)
-		}
-		fmt.Fprintf(w, "  %-12s %-9s %7d %12s %10.1f %8s\n",
-			r.Kind, r.Mode, width, fmtDuration(r.Seconds), r.PerSec, sp)
+		fmt.Fprintf(w, "  %-12s %-9s %7d %12s %10.1f\n",
+			r.Kind, r.Mode, width, fmtDuration(r.Seconds), r.PerSec)
 	}
 }

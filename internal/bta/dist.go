@@ -3,7 +3,6 @@ package bta
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/dalia-hpc/dalia/internal/comm"
 	"github.com/dalia-hpc/dalia/internal/dense"
@@ -276,11 +275,6 @@ type DistOptions struct {
 	// MaxRefine caps the fp64 residual corrections per PPOBTASRefined call
 	// (0 = DefaultMaxRefine).
 	MaxRefine int
-	// PhaseBarrier forces the legacy fresh-goroutine stream gangs (and a
-	// phase-barrier nested reduced engine) instead of scheduling the
-	// node's streams as tasks on the shared work-stealing executor. All
-	// ranks must pass the same value.
-	PhaseBarrier bool
 }
 
 // sweepScratch is one owned partition's preallocated selected-inversion
@@ -483,23 +477,11 @@ func (f *DistFactor) runOwned(body func(j int)) {
 		body(0)
 		return
 	}
-	if f.opts.PhaseBarrier {
-		var wg sync.WaitGroup
-		for j := range f.parts {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				body(j)
-			}(j)
-		}
-		wg.Wait()
-		return
-	}
-	// Task-DAG mode: the node's streams become tasks on the shared
-	// executor (prebuilt bodies, built on first use, reused every call),
-	// with stream 0 on the calling goroutine which then help-joins. The
-	// comm.Compute wall-time charging around the caller is unchanged: the
-	// gang's makespan is still one node-level compute interval.
+	// The node's streams become tasks on the shared executor (prebuilt
+	// bodies, built on first use, reused every call), with stream 0 on the
+	// calling goroutine which then help-joins. The gang's makespan is one
+	// node-level compute interval for the comm.Compute charging around the
+	// caller.
 	if f.gangTasks == nil {
 		f.gangEx = sched.Shared()
 		f.gangGroup.Init(f.gangEx)
@@ -703,7 +685,7 @@ func (f *DistFactor) reducedEngineFor(red *Matrix, nr int) (*reducedEngine, erro
 	if f.scr != nil && f.scr.redEng.matches(nr, f.b, f.a, f.opts.Reduced) {
 		return f.scr.redEng, nil
 	}
-	eng, err := newReducedEngine(red, f.opts.Reduced, f.opts.PhaseBarrier)
+	eng, err := newReducedEngine(red, f.opts.Reduced)
 	if err != nil {
 		return nil, err
 	}

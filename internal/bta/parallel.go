@@ -23,18 +23,14 @@ var (
 )
 
 // phaseLabelCtx maps a gang phase to its pprof label context: interior
-// eliminations are "elim", forward/backward substitutions "sweep", and the
-// selected-inversion recursions "sigma" ("reduced" is applied around the
-// boundary-system work directly).
+// eliminations are "elim" and forward/backward substitutions "sweep"
+// ("reduced" and "sigma" are applied around the boundary-system work and the
+// selected-inversion tasks directly).
 func phaseLabelCtx(ph int) context.Context {
-	switch ph {
-	case phaseElim:
+	if ph == phaseElim {
 		return labelElim
-	case phaseSweep:
-		return labelSigma
-	default:
-		return labelSweep
 	}
+	return labelSweep
 }
 
 // relabel swaps the calling goroutine's pprof label set (alloc-free).
@@ -73,15 +69,14 @@ func MaxUsefulPartitions(n int) int {
 	return p
 }
 
-// Gang phases dispatched to the partition workers. Per-call inputs travel
-// through the curRhs/curMS/curSig fields, set before the workers launch.
+// Gang phases dispatched to the partition tasks. Per-call inputs travel
+// through the curM/curRhs/curMS fields, set before the tasks spawn.
 const (
 	phaseElim = iota
 	phaseFwd
 	phaseBwd
 	phaseFwdMS
 	phaseBwdMS
-	phaseSweep
 )
 
 // partState is one partition's persistent slice of the parallel factor:
@@ -132,9 +127,9 @@ type partState struct {
 // Unlike the comm-based DistFactor there are no ranks and no message
 // copies: all partitions share the factor's block storage, boundary Schur
 // contributions land in per-partition accumulators, and the reduced system
-// is assembled by plain block copies. All storage — including the gang of
-// worker closures — is created at construction, so every operation of the
-// Solver surface is allocation-free after warmup.
+// is assembled by plain block copies. All storage — including the task nodes
+// and their prebuilt bodies — is created at construction, so every operation
+// of the Solver surface is allocation-free after warmup.
 //
 // A ParallelFactor is not safe for concurrent use of the same instance
 // (exactly like Factor); different instances may run concurrently.
@@ -156,11 +151,10 @@ type ParallelFactor struct {
 	redGlobal []int       // reduced block index → global block index
 	redMS     *MultiSolve // lazily sized multi-RHS reduced workspace
 
-	// Task-DAG scheduling state: the executor the factor's phases run on
-	// (nil = legacy phase-barrier goroutine gang), the join group, and the
-	// caller-owned task nodes reused across cycles — phase tasks for
-	// partitions 1..P−1, pipelined-elimination tasks for all partitions,
-	// and the Σ-scatter DAG's install→sweep pairs.
+	// Task-DAG scheduling state: the executor the factor's phases run on,
+	// the join group, and the caller-owned task nodes reused across cycles —
+	// phase tasks for partitions 1..P−1, pipelined-elimination tasks for all
+	// partitions, and the Σ-scatter DAG's install→sweep pairs.
 	ex          *sched.Executor
 	g           sched.Group
 	tasks       []sched.Task
@@ -171,17 +165,14 @@ type ParallelFactor struct {
 	fnInstall   []func()
 	fnSweep     []func()
 
-	// gang state
-	work  []func() // prebuilt workers for partitions 1..P−1
-	done  chan struct{}
 	phase int
-	// per-call inputs for the phase workers
+	// per-call inputs for the phase tasks
 	curM   *Matrix
 	curRhs []float64
 	curMS  *MultiSolve
 	curSig *Matrix
 
-	// pipelined-handoff state: one prebuilt worker per partition signalling
+	// pipelined-handoff state: one prebuilt task body per partition signalling
 	// its elimination completion, the delivery bitmap, the incremental
 	// reduced-factorization frontier, and the per-partition tip deltas in
 	// the frontier's fold order.
@@ -225,16 +216,8 @@ type ParallelOptions struct {
 	// MaxRefine caps the fp64 residual corrections per refined solve
 	// (0 = DefaultMaxRefine).
 	MaxRefine int
-	// PhaseBarrier forces the legacy per-phase goroutine gang (spawn P−1
-	// goroutines, barrier, next phase) instead of scheduling the phases as
-	// tasks on the shared work-stealing executor. The default (false) runs
-	// the task-DAG path, which interleaves this factor's partition work
-	// with tasks from other concurrent operations — bit-identical results,
-	// better core occupancy. The barrier mode exists for the scheduler
-	// benchmark and the determinism suite.
-	PhaseBarrier bool
-	// Executor overrides the task executor the DAG path runs on
-	// (nil = sched.Shared()). Ignored under PhaseBarrier.
+	// Executor overrides the task executor the partition phases run on
+	// (nil = sched.Shared()).
 	Executor *sched.Executor
 }
 
@@ -284,7 +267,7 @@ func NewParallelFactorOpts(n, b, a int, o ParallelOptions) (*ParallelFactor, err
 
 	nr := reducedSize(p)
 	f.red = NewMatrix(nr, b, a)
-	f.eng, err = newReducedEngine(f.red, o.Reduced, o.PhaseBarrier)
+	f.eng, err = newReducedEngine(f.red, o.Reduced)
 	if err != nil {
 		return nil, err
 	}
@@ -343,24 +326,31 @@ func NewParallelFactorOpts(n, b, a int, o ParallelOptions) (*ParallelFactor, err
 		f.ps[r] = ps
 	}
 
-	// The worker gang: one prebuilt closure per non-first partition,
-	// spawned per phase with `go f.work[r]()` — goroutine launches of
-	// preallocated funcvals perform no heap allocation, which keeps the
-	// whole operation surface AllocsPerRun-clean without pinning
-	// long-lived worker goroutines to the factor's lifetime.
-	f.done = make(chan struct{}, p-1)
-	f.work = make([]func(), p)
+	// Phases are spawned as caller-owned task nodes on the work-stealing
+	// executor. Bodies are prebuilt once here so steady-state spawning stays
+	// allocation-free.
+	f.ex = o.Executor
+	if f.ex == nil {
+		f.ex = sched.Shared()
+	}
+	f.g.Init(f.ex)
+	f.tasks = make([]sched.Task, p)
+	f.tasksPipe = make([]sched.Task, p)
+	f.taskInstall = make([]sched.Task, p)
+	f.taskSweep = make([]sched.Task, p)
+	f.fnPhase = make([]func(), p)
+	f.fnInstall = make([]func(), p)
+	f.fnSweep = make([]func(), p)
 	for r := 1; r < p; r++ {
 		r := r
-		f.work[r] = func() {
-			f.partitionPhase(r)
-			f.done <- struct{}{}
-		}
+		f.fnPhase[r] = func() { f.partitionPhase(r) }
+		f.fnInstall[r] = func() { f.installSigmaPart(r) }
+		f.fnSweep[r] = func() { f.ps[r].err = f.sweepPartition(r, f.curSig) }
 	}
-	// Pipelined-handoff gang: every partition (0 included) runs on its own
-	// goroutine and signals its identity on completion, so the calling
-	// goroutine can stream boundary contributions into the reduced assembly
-	// while later partitions are still eliminating.
+	// Pipelined-handoff bodies: every partition (0 included) signals its
+	// identity on completion, so the calling goroutine can stream boundary
+	// contributions into the reduced assembly while later partitions are
+	// still eliminating.
 	f.elimDone = make(chan int, p)
 	f.workPipe = make([]func(), p)
 	for r := 0; r < p; r++ {
@@ -374,30 +364,6 @@ func NewParallelFactorOpts(n, b, a int, o ParallelOptions) (*ParallelFactor, err
 	f.tipDeltas = make([]*dense.Matrix, p)
 	for r, ps := range f.ps {
 		f.tipDeltas[r] = ps.tipDelta
-	}
-	// Task-DAG mode (the default): phases are spawned as caller-owned task
-	// nodes on the shared work-stealing executor instead of fresh goroutine
-	// gangs. Bodies are prebuilt once here so steady-state spawning stays
-	// allocation-free.
-	if !o.PhaseBarrier {
-		f.ex = o.Executor
-		if f.ex == nil {
-			f.ex = sched.Shared()
-		}
-		f.g.Init(f.ex)
-		f.tasks = make([]sched.Task, p)
-		f.tasksPipe = make([]sched.Task, p)
-		f.taskInstall = make([]sched.Task, p)
-		f.taskSweep = make([]sched.Task, p)
-		f.fnPhase = make([]func(), p)
-		f.fnInstall = make([]func(), p)
-		f.fnSweep = make([]func(), p)
-		for r := 1; r < p; r++ {
-			r := r
-			f.fnPhase[r] = func() { f.partitionPhase(r) }
-			f.fnInstall[r] = func() { f.installSigmaPart(r) }
-			f.fnSweep[r] = func() { f.ps[r].err = f.sweepPartition(r, f.curSig) }
-		}
 	}
 	return f, nil
 }
@@ -428,26 +394,13 @@ func (f *ParallelFactor) Parts() []Partition { return f.parts }
 // Dim returns the full system dimension.
 func (f *ParallelFactor) Dim() int { return f.N*f.B + f.A }
 
-// runPhase fans the current phase out to the partition gang. In task-DAG
-// mode (f.ex != nil) partitions 1..P−1 become tasks on a pooled lane of
-// the shared executor — runnable by any worker or helping joiner, and
-// interleaved with tasks from other concurrent operations — while
-// partition 0 runs on the calling goroutine, which then help-joins. In
-// phase-barrier mode the legacy goroutine gang runs instead. Either way
-// every partition's work has completed when runPhase returns, and the
-// arithmetic performed is identical.
+// runPhase fans the current phase out to the partition gang: partitions
+// 1..P−1 become tasks on a pooled lane of the executor — runnable by any
+// worker or helping joiner, and interleaved with tasks from other concurrent
+// operations — while partition 0 runs on the calling goroutine, which then
+// help-joins. Every partition's work has completed when runPhase returns.
 func (f *ParallelFactor) runPhase(ph int) {
 	f.phase = ph
-	if f.ex == nil {
-		for r := 1; r < f.P; r++ {
-			go f.work[r]()
-		}
-		f.partitionPhase(0)
-		for r := 1; r < f.P; r++ {
-			<-f.done
-		}
-		return
-	}
 	lbl := phaseLabelCtx(ph)
 	l := f.ex.AcquireLane()
 	f.g.Add(f.P - 1)
@@ -474,8 +427,6 @@ func (f *ParallelFactor) partitionPhase(r int) {
 		f.forwardPartitionMS(r, f.curMS)
 	case phaseBwdMS:
 		f.backwardPartitionMS(r, f.curMS)
-	case phaseSweep:
-		f.ps[r].err = f.sweepPartition(r, f.curSig)
 	}
 }
 
@@ -528,8 +479,8 @@ func (f *ParallelFactor) Refactorize(m *Matrix) error {
 }
 
 // refactorizePipelined is the pipelined-boundary-handoff elimination: every
-// partition runs on its own goroutine and reports completion, while this
-// (the calling) goroutine streams finished partitions' boundary blocks into
+// partition runs as its own task and reports completion, while this (the
+// calling) goroutine streams finished partitions' boundary blocks into
 // the reduced assembly in partition order. With the sequential reduced
 // engine the assembly feeds the incremental factorization frontier, so
 // reduced-phase work overlaps the tail of the interior sweeps; with a
@@ -540,26 +491,18 @@ func (f *ParallelFactor) refactorizePipelined(t0 time.Time) error {
 		f.delivered[i] = false
 	}
 	f.phase = phaseElim
-	var lane *sched.Lane
-	if f.ex == nil {
-		for r := 0; r < f.P; r++ {
-			go f.workPipe[r]()
-		}
-	} else {
-		// Every partition (0 included) becomes an elimination task that
-		// signals its identity on completion; the calling goroutine streams
-		// the reduced assembly below and runs pending tasks between
-		// completion signals (recvElim), so it is a full gang member too.
-		// The tasks are also counted into the join group: the channel send
-		// happens inside the task body, so the group join below is what
-		// guarantees the node epilogues finished before the nodes are
-		// reused by the next Refactorize.
-		lane = f.ex.AcquireLane()
-		f.g.Add(f.P)
-		for r := 0; r < f.P; r++ {
-			f.tasksPipe[r].Reset(f.ex, &f.g, f.workPipe[r], labelElim)
-			lane.Spawn(&f.tasksPipe[r])
-		}
+	// Every partition (0 included) becomes an elimination task that signals
+	// its identity on completion; the calling goroutine streams the reduced
+	// assembly below and runs pending tasks between completion signals
+	// (recvElim), so it is a full gang member too. The tasks are also
+	// counted into the join group: the channel send happens inside the task
+	// body, so the group join below is what guarantees the node epilogues
+	// finished before the nodes are reused by the next Refactorize.
+	lane := f.ex.AcquireLane()
+	f.g.Add(f.P)
+	for r := 0; r < f.P; r++ {
+		f.tasksPipe[r].Reset(f.ex, &f.g, f.workPipe[r], labelElim)
+		lane.Spawn(&f.tasksPipe[r])
 	}
 	red := f.red
 	if f.A > 0 {
@@ -596,10 +539,8 @@ func (f *ParallelFactor) refactorizePipelined(t0 time.Time) error {
 		}
 		relabel(labelNone)
 	}
-	if lane != nil {
-		f.g.Wait(lane)
-		f.ex.ReleaseLane(lane)
-	}
+	f.g.Wait(lane)
+	f.ex.ReleaseLane(lane)
 	// Surface elimination failures deterministically (partition order).
 	for _, ps := range f.ps {
 		if ps.err != nil {
@@ -625,15 +566,11 @@ func (f *ParallelFactor) refactorizePipelined(t0 time.Time) error {
 	return nil
 }
 
-// recvElim receives one partition-completion signal. In task-DAG mode the
-// calling goroutine runs pending light tasks between polls — it is both
-// the reduced-assembly streamer and a gang member — and blocks on the
-// channel only when nothing is runnable (its own tasks are then in flight
-// on other goroutines).
+// recvElim receives one partition-completion signal. The calling goroutine
+// runs pending light tasks between polls — it is both the reduced-assembly
+// streamer and a gang member — and blocks on the channel only when nothing
+// is runnable (its own tasks are then in flight on other goroutines).
 func (f *ParallelFactor) recvElim(lane *sched.Lane) int {
-	if lane == nil {
-		return <-f.elimDone
-	}
 	for {
 		select {
 		case r := <-f.elimDone:
@@ -1114,37 +1051,27 @@ func (f *ParallelFactor) SelectedInversionInto(sig *Matrix) error {
 		sig.Tip.CopyFrom(f.redSig.Tip)
 	}
 	f.curSig = sig
-	if f.ex == nil {
-		// Phase-barrier mode: install every boundary block, then run the
-		// interior sweeps as one gang.
-		for r := 0; r < f.P; r++ {
-			f.installSigmaPart(r)
-		}
-		f.runPhase(phaseSweep)
-	} else {
-		// Σ-scatter DAG: each partition's boundary install is a task whose
-		// dependent interior sweep starts as soon as its own boundary
-		// blocks land — no barrier on the full scatter. A partition's sweep
-		// reads only blocks written by its own install (plus the tip,
-		// copied above, and redSig, finalized above), so install(r)→sweep(r)
-		// are the only edges.
-		l := f.ex.AcquireLane()
-		f.g.Add(2 * (f.P - 1))
-		for r := 1; r < f.P; r++ {
-			f.taskInstall[r].Reset(f.ex, &f.g, f.fnInstall[r], labelSigma)
-			f.taskSweep[r].Reset(f.ex, &f.g, f.fnSweep[r], labelSigma)
-			f.taskSweep[r].After(&f.taskInstall[r])
-			// Dependents spawn before predecessors (sched.Lane.Spawn).
-			l.Spawn(&f.taskSweep[r])
-			l.Spawn(&f.taskInstall[r])
-		}
-		relabel(labelSigma)
-		f.installSigmaPart(0)
-		f.ps[0].err = f.sweepPartition(0, sig)
-		f.g.Wait(l)
-		relabel(labelNone)
-		f.ex.ReleaseLane(l)
+	// Σ-scatter DAG: each partition's boundary install is a task whose
+	// dependent interior sweep starts as soon as its own boundary blocks
+	// land — no barrier on the full scatter. A partition's sweep reads only
+	// blocks written by its own install (plus the tip, copied above, and
+	// redSig, finalized above), so install(r)→sweep(r) are the only edges.
+	l := f.ex.AcquireLane()
+	f.g.Add(2 * (f.P - 1))
+	for r := 1; r < f.P; r++ {
+		f.taskInstall[r].Reset(f.ex, &f.g, f.fnInstall[r], labelSigma)
+		f.taskSweep[r].Reset(f.ex, &f.g, f.fnSweep[r], labelSigma)
+		f.taskSweep[r].After(&f.taskInstall[r])
+		// Dependents spawn before predecessors (sched.Lane.Spawn).
+		l.Spawn(&f.taskSweep[r])
+		l.Spawn(&f.taskInstall[r])
 	}
+	relabel(labelSigma)
+	f.installSigmaPart(0)
+	f.ps[0].err = f.sweepPartition(0, sig)
+	f.g.Wait(l)
+	relabel(labelNone)
+	f.ex.ReleaseLane(l)
 	f.curSig = nil
 	for _, ps := range f.ps {
 		if ps.err != nil {

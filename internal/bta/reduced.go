@@ -94,7 +94,7 @@ func nestedReducedWidth(nr, crossover int) int {
 // factor view over that same storage); the nested mode copies red into the
 // nested factor's own storage on every Refactorize, leaving red intact as
 // the assembly staging area.
-func newReducedEngine(red *Matrix, opts ReducedOptions, barrier bool) (*reducedEngine, error) {
+func newReducedEngine(red *Matrix, opts ReducedOptions) (*reducedEngine, error) {
 	opts = opts.normalize()
 	e := &reducedEngine{nr: red.N, b: red.B, a: red.A, opts: opts}
 	e.seqF = &Factor{N: red.N, B: red.B, A: red.A,
@@ -108,7 +108,6 @@ func newReducedEngine(red *Matrix, opts ReducedOptions, barrier bool) (*reducedE
 					Crossover: opts.Crossover,
 					Pipeline:  opts.Pipeline,
 				},
-				PhaseBarrier: barrier,
 			})
 			if err != nil {
 				return nil, err

@@ -20,20 +20,6 @@ import (
 // caller, so long-lived services can hold it for the lifetime of a
 // registered model while the evaluator pools keep recycling their own.
 func ModeFactor(m *model.Model, theta []float64) (*model.Theta, *bta.Factor, error) {
-	t, s, err := ModeSolver(m, theta, 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	return t, s.(*bta.Factor), nil
-}
-
-// ModeSolver is ModeFactor behind the solver interface with a chosen
-// parallel-in-time width: partitions ≤ 1 produces the sequential Factor
-// (exactly ModeFactor), larger widths a bta.ParallelFactor so a long-lived
-// service registering a model pays multicore latency for the one-off mode
-// factorization and for every selected inversion it later runs. partitions
-// beyond the time dimension's capacity are clamped.
-func ModeSolver(m *model.Model, theta []float64, partitions int) (*model.Theta, bta.Solver, error) {
 	t, err := m.DecodeTheta(theta)
 	if err != nil {
 		return nil, nil, err
@@ -43,10 +29,7 @@ func ModeSolver(m *model.Model, theta []float64, partitions int) (*model.Theta, 
 	if err := m.QcInto(t, qc); err != nil {
 		return nil, nil, err
 	}
-	s, err := bta.NewSolver(n, b, a, partitions)
-	if err != nil {
-		return nil, nil, err
-	}
+	s := bta.NewFactor(n, b, a)
 	if err := s.Refactorize(qc); err != nil {
 		return nil, nil, fmt.Errorf("inla: Q_c factorization at the mode: %w", err)
 	}

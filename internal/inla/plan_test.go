@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/dalia-hpc/dalia/internal/dense"
+	"github.com/dalia-hpc/dalia/internal/sched"
 	"github.com/dalia-hpc/dalia/internal/synth"
 )
 
@@ -112,16 +113,19 @@ func TestPlanBatchRespectsTimePartitionability(t *testing.T) {
 	}
 }
 
-// TestRunBoundedCapsConcurrency: the worker pool must never exceed its
-// bound, must cover every index exactly once, and must not deadlock on
-// degenerate bounds.
-func TestRunBoundedCapsConcurrency(t *testing.T) {
+// TestRunOnExecutorCapsConcurrency: the batch runners must never exceed
+// their bound, must cover every index exactly once, and must not deadlock on
+// degenerate bounds — including bounds above the executor's pool size.
+func TestRunOnExecutorCapsConcurrency(t *testing.T) {
+	ex := sched.New(4)
+	defer ex.Close()
+	e := &BTAEvaluator{Exec: ex}
 	for _, workers := range []int{1, 3, 8, 100} {
 		const n = 64
 		var active, peak, calls atomic.Int64
 		var mu sync.Mutex
 		seen := make(map[int]int)
-		runBounded(n, workers, func(i int) {
+		e.runOnExecutor(n, workers, func(i int) {
 			cur := active.Add(1)
 			for {
 				p := peak.Load()
@@ -258,34 +262,6 @@ func TestPosteriorParallelMatchesSequential(t *testing.T) {
 		}
 		if math.Abs(vaS[i]-vaP[i]) > 1e-9*(1+vaS[i]) {
 			t.Fatalf("var[%d]: %v vs %v", i, vaS[i], vaP[i])
-		}
-	}
-}
-
-// TestModeSolverBackends: both widths factorize the same Q_c.
-func TestModeSolverBackends(t *testing.T) {
-	ds := genPintime(t)
-	_, seq, err := ModeSolver(ds.Model, ds.Theta0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, par, err := ModeSolver(ds.Model, ds.Theta0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := math.Abs(seq.LogDet() - par.LogDet()); d > 1e-9*(1+math.Abs(seq.LogDet())) {
-		t.Fatalf("mode factor log-determinants differ: %v vs %v", seq.LogDet(), par.LogDet())
-	}
-	rhs := make([]float64, seq.Dim())
-	for i := range rhs {
-		rhs[i] = math.Sin(float64(i))
-	}
-	got := append([]float64(nil), rhs...)
-	par.Solve(got)
-	seq.Solve(rhs)
-	for i := range rhs {
-		if math.Abs(rhs[i]-got[i]) > 1e-9*(1+math.Abs(rhs[i])) {
-			t.Fatalf("mode solve[%d]: %v vs %v", i, got[i], rhs[i])
 		}
 	}
 }

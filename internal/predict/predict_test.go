@@ -17,7 +17,7 @@ import (
 type fitted struct {
 	ds  *synth.Dataset
 	res *inla.Result
-	pr  *Predictor
+	pr  *Snapshot
 }
 
 var (
@@ -48,7 +48,7 @@ func getFitted(t *testing.T) fitted {
 			fitErr = err
 			return
 		}
-		pr, err := New(ds.Model, res)
+		pr, err := NewSnapshot(ds.Model, res)
 		if err != nil {
 			fitErr = err
 			return
@@ -92,7 +92,7 @@ func TestPredictiveVarianceNonnegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy, err := New(f.ds.Model, f.res, WithObservationNoise())
+	noisy, err := NewSnapshot(f.ds.Model, f.res, WithObservationNoise())
 	if err != nil {
 		t.Fatal(err)
 	}

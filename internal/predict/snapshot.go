@@ -23,42 +23,54 @@ import (
 // through a Handle swap without blocking in-flight readers (readers that
 // loaded the old snapshot finish against it; its scratch drains to the
 // garbage collector with no goroutines to wind down).
+//
+// Prediction always runs the factorization in pure fp64, regardless of any
+// mixed-precision policy the fit ran under: predictive variances are
+// triangular half-solve norms, which have no residual to refine against, so
+// the per-stage policy assigns this stage fp64 outright.
 type Snapshot struct {
-	engine
-	fc *bta.Factor // sequential factor: lock-free concurrent solves
+	m     *model.Model
+	theta *model.Theta
+	mu    []float64   // latent posterior mean, BTA ordering
+	fc    *bta.Factor // sequential factor: lock-free concurrent solves
+
+	maxBatch     int
+	includeNoise bool
 
 	scratch sync.Pool // *batchScratch, per-goroutine via the pool's P-local caches
 }
 
 // NewSnapshot freezes a fitted result into an immutable read-only
 // predictor: the mode θ* is re-decoded, Q_c(θ*) is assembled and factorized
-// into the sequential (lock-free) factor, and the latent mean is copied
-// out. WithSolverPartitions is rejected — a Snapshot's whole point is the
-// lock-free sequential read path; single-flight callers that want
-// within-solve parallelism use New with WithSolverPartitions instead.
+// into the sequential (lock-free) factor (inla.ModeFactor), and the latent
+// mean is copied out so the snapshot stays valid however the result is used
+// afterwards.
 func NewSnapshot(m *model.Model, res *inla.Result, opts ...Option) (*Snapshot, error) {
 	c := config{maxBatch: 64}
 	for _, o := range opts {
 		o(&c)
 	}
-	if c.partitionsSet {
-		return nil, fmt.Errorf("predict: a Snapshot is always the lock-free sequential factor; WithSolverPartitions only applies to New")
+	if len(res.Mu) != m.Dims.Total() {
+		return nil, fmt.Errorf("predict: latent mean length %d, want %d", len(res.Mu), m.Dims.Total())
 	}
-	e, err := newEngine(m, res, &c)
+	if c.maxBatch < 1 {
+		return nil, fmt.Errorf("predict: max batch %d < 1", c.maxBatch)
+	}
+	if c.includeNoise && m.Lik != model.LikGaussian {
+		return nil, fmt.Errorf("predict: observation noise is only defined for Gaussian likelihoods")
+	}
+	t, fc, err := inla.ModeFactor(m, res.Theta)
 	if err != nil {
 		return nil, err
 	}
-	t, fc, err := inla.ModeSolver(m, res.Theta, 1)
-	if err != nil {
-		return nil, err
-	}
-	seq, ok := fc.(*bta.Factor)
-	if !ok {
-		return nil, fmt.Errorf("predict: mode solver at width 1 returned %T, want the sequential factor", fc)
-	}
-	s := &Snapshot{engine: e, fc: seq}
-	s.theta = t
-	return s, nil
+	return &Snapshot{
+		m:            m,
+		theta:        t,
+		mu:           append([]float64(nil), res.Mu...),
+		fc:           fc,
+		maxBatch:     c.maxBatch,
+		includeNoise: c.includeNoise,
+	}, nil
 }
 
 // Theta returns the decoded hyperparameter configuration the snapshot is
@@ -72,7 +84,8 @@ func (s *Snapshot) getScratch() *batchScratch {
 	if ws, ok := s.scratch.Get().(*batchScratch); ok {
 		return ws
 	}
-	return s.newScratch()
+	n, b, a := s.m.Dims.BTAShape()
+	return &batchScratch{ms: bta.NewMultiSolve(n, b, a, s.maxBatch)}
 }
 
 // Predict computes posterior predictive means and variances for the
@@ -92,8 +105,8 @@ func (s *Snapshot) Predict(qs []Query) (means, vars []float64, err error) {
 // number of goroutines may call it concurrently, each drawing pooled
 // scratch, and after warmup it performs zero heap allocations.
 func (s *Snapshot) PredictInto(qs []Query, means, vars []float64) error {
-	if err := s.checkOut(qs, means, vars); err != nil {
-		return err
+	if len(means) < len(qs) || len(vars) < len(qs) {
+		return fmt.Errorf("predict: output length %d/%d for %d queries", len(means), len(vars), len(qs))
 	}
 	ws := s.getScratch()
 	defer s.scratch.Put(ws)

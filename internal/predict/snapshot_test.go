@@ -10,45 +10,7 @@ import (
 	"time"
 
 	"github.com/dalia-hpc/dalia/internal/dense"
-	"github.com/dalia-hpc/dalia/internal/inla"
-	"github.com/dalia-hpc/dalia/internal/mesh"
-	"github.com/dalia-hpc/dalia/internal/synth"
 )
-
-// A Snapshot must answer exactly what the (sequential) Predictor answers:
-// both run the same engine over the same sequential factor, so results are
-// bitwise identical.
-func TestSnapshotMatchesPredictor(t *testing.T) {
-	f := getFitted(t)
-	s, err := NewSnapshot(f.ds.Model, f.res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(21))
-	qs := randomQueries(rng, f, 2*s.MaxBatch()+5)
-	wantM, wantV, err := f.pr.Predict(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotM, gotV, err := s.Predict(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range qs {
-		if gotM[i] != wantM[i] || gotV[i] != wantV[i] {
-			t.Fatalf("query %d: snapshot (%v,%v) vs predictor (%v,%v)", i, gotM[i], gotV[i], wantM[i], wantV[i])
-		}
-	}
-}
-
-// A Snapshot is always the lock-free sequential factor; asking for the
-// parallel backend is a configuration error, not a silent downgrade.
-func TestSnapshotRejectsSolverPartitions(t *testing.T) {
-	f := getFitted(t)
-	if _, err := NewSnapshot(f.ds.Model, f.res, WithSolverPartitions(2)); err == nil {
-		t.Fatal("NewSnapshot accepted WithSolverPartitions")
-	}
-}
 
 // The snapshot read path performs zero heap allocations after the pooled
 // scratch warms up — the lock-free hot path neither locks nor allocates.
@@ -267,86 +229,5 @@ func TestSnapshotSwapLeaksNoGoroutines(t *testing.T) {
 	}
 	if now := runtime.NumGoroutine(); now > before {
 		t.Fatalf("goroutines grew %d → %d across snapshot generations", before, now)
-	}
-}
-
-// The parallel backend is single-flight: a concurrent second call fails
-// with the typed ErrConcurrentParallel instead of quietly serializing. The
-// in-flight state is forced deterministically rather than raced.
-func TestParallelBackendConcurrencyTypedError(t *testing.T) {
-	// The shared test model's time domain (nt=4) is too shallow to
-	// partition (MaxUsefulPartitions(4)=1 falls back to the sequential
-	// factor), so this test fits its own deeper model.
-	ds, err := synth.Generate(synth.GenConfig{
-		Nv: 1, Nt: 8, Nr: 1,
-		MeshNx: 4, MeshNy: 3,
-		ObsPerStep: 15,
-		Seed:       31,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := inla.DefaultFitOptions()
-	opts.Opt.MaxIter = 4
-	opts.SkipHyperUncertainty = true
-	res, err := inla.Fit(ds.Model, inla.WeakPrior(ds.Theta0, 5), ds.Theta0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, err := New(ds.Model, res, WithSolverPartitions(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pp.seqFc {
-		t.Fatal("WithSolverPartitions(2) still built the sequential factor")
-	}
-	sq, err := New(ds.Model, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(26))
-	d := ds.Model.Dims
-	qs := make([]Query, 4)
-	for i := range qs {
-		qs[i] = Query{
-			Point:      mesh.Point{X: rng.Float64() * 300, Y: rng.Float64() * 200},
-			T:          rng.Intn(d.Nt),
-			Response:   0,
-			Covariates: []float64{1},
-		}
-	}
-	means := make([]float64, len(qs))
-	vars := make([]float64, len(qs))
-
-	// Simulate an in-flight call, exactly as PredictInto marks one.
-	pp.busy.Store(true)
-	if err := pp.PredictInto(qs, means, vars); !errors.Is(err, ErrConcurrentParallel) {
-		t.Fatalf("concurrent parallel PredictInto: %v, want ErrConcurrentParallel", err)
-	}
-	pp.busy.Store(false)
-
-	// The flight guard releases: a subsequent call succeeds and matches the
-	// sequential engine.
-	if err := pp.PredictInto(qs, means, vars); err != nil {
-		t.Fatal(err)
-	}
-	wantM, wantV, err := sq.Predict(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range qs {
-		if d := means[i] - wantM[i]; d > 1e-8 || d < -1e-8 {
-			t.Errorf("query %d: parallel mean %v vs sequential %v", i, means[i], wantM[i])
-		}
-		if d := vars[i] - wantV[i]; d > 1e-8*(1+wantV[i]) || d < -1e-8*(1+wantV[i]) {
-			t.Errorf("query %d: parallel var %v vs sequential %v", i, vars[i], wantV[i])
-		}
-	}
-
-	// The sequential default never trips the guard, even mid-"flight".
-	sq.busy.Store(true)
-	defer sq.busy.Store(false)
-	if err := sq.PredictInto(qs, means, vars); err != nil {
-		t.Fatalf("sequential PredictInto with busy set: %v", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -344,5 +345,43 @@ func TestServerRegistryAndErrors(t *testing.T) {
 	}
 	if st.Fits != 1 || st.Models != 0 {
 		t.Errorf("stats fits=%d models=%d, want 1/0", st.Fits, st.Models)
+	}
+}
+
+// A finite but huge covariate overflows the predictive variance. The reply
+// must be a 400 whose JSON error names the query, not a 200 carrying +Inf,
+// which JSON cannot encode; the same valid query alone still answers.
+func TestPredictOverflowRejected(t *testing.T) {
+	ts := httptest.NewServer(New(Options{}).Handler())
+	defer ts.Close()
+	client := ts.Client()
+	if resp, body := postJSON(t, client, ts.URL+"/v1/models", FitRequest{Name: "a", Gen: tinyGen(), MaxIter: 3}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("fit status %d: %s", resp.StatusCode, body)
+	}
+	ok := QueryJSON{X: 55, Y: 80, T: 0, Response: 0, Covariates: []float64{1, 0.4}}
+	huge := QueryJSON{X: 55, Y: 80, T: 0, Response: 0, Covariates: []float64{1e300, 0}}
+
+	resp, body := postJSON(t, client, ts.URL+"/v1/models/a/predict", PredictRequest{Queries: []QueryJSON{ok, huge}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("overflowing query status %d, want 400: %s", resp.StatusCode, body)
+	}
+	var e errorJSON
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatalf("error body is not JSON: %v: %s", err, body)
+	}
+	if !strings.Contains(e.Error, "query 1") {
+		t.Errorf("error %q does not name query 1", e.Error)
+	}
+
+	resp, body = postJSON(t, client, ts.URL+"/v1/models/a/predict", PredictRequest{Queries: []QueryJSON{ok}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid query status %d: %s", resp.StatusCode, body)
+	}
+	var pred PredictResponse
+	if err := json.Unmarshal(body, &pred); err != nil {
+		t.Fatalf("predict body is not JSON: %v: %s", err, body)
+	}
+	if len(pred.Variance) != 1 || !(pred.Variance[0] > 0) {
+		t.Errorf("valid query variance %v", pred.Variance)
 	}
 }

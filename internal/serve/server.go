@@ -107,12 +107,6 @@ type Options struct {
 	// fp64 factor, so the policy only affects fit latency, not serving
 	// accuracy.
 	Precision bta.Precision
-	// PhaseBarrier forces fits and refits onto the legacy phase-synchronized
-	// concurrency instead of the shared work-stealing task-DAG executor
-	// (inla.FitOptions.PhaseBarrier). Default off: concurrent fits'
-	// solver phases and evaluation batches interleave on the executor's
-	// warm workers, which is what keeps a multi-model server's cores busy.
-	PhaseBarrier bool
 	// Logf, when set, receives operational log lines (recovery, persistence,
 	// flush summaries). nil = silent.
 	Logf func(format string, args ...any)
@@ -437,9 +431,9 @@ func writePredictResponse(w http.ResponseWriter, resp *PredictResponse) {
 	_, _ = w.Write(buf)
 }
 
-// appendFloats appends a JSON array of finite float64s (predictive means
-// and variances are validated finite upstream; a non-finite value would
-// already have failed the solve).
+// appendFloats appends a JSON array of float64s. Every value must be
+// finite: handlePredict rejects requests whose predictive mean or variance
+// is not.
 func appendFloats(buf []byte, vs []float64) []byte {
 	buf = append(buf, '[')
 	for i, v := range vs {
@@ -765,6 +759,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
+	// Finite but huge covariates can overflow the predictive mean or
+	// variance; JSON has no encoding for ±Inf or NaN.
+	for i := range qs {
+		if !isFinite(means[i]) || !isFinite(vars[i]) {
+			writeErr(w, http.StatusBadRequest, "query %d: predictive mean %g, variance %g not finite (covariates too large)",
+				i, means[i], vars[i])
+			return
+		}
+	}
 	s.predictReqs.Add(1)
 	s.queries.Add(int64(len(qs)))
 	resp := PredictResponse{Mean: means, Variance: vars, SD: make([]float64, len(vars))}
@@ -861,7 +864,6 @@ func (s *Server) fitResolved(req FitRequest, gen synth.GenConfig, specID string,
 	// Hessian stage is skipped to keep registration fast.
 	opts.SkipHyperUncertainty = true
 	opts.Precision = s.opts.Precision
-	opts.PhaseBarrier = s.opts.PhaseBarrier
 	opts.Ctx = s.fitCtx
 	opts.Resume = resume
 	s.fitStateHooks(req, gen, specID, &opts)
