@@ -29,9 +29,6 @@
 #                     BENCH_6.json (25% ceiling, p99 only) and crash
 #                     recovery vs BENCH_7.json (restart cost ceiling plus
 #                     the unconditional byte-identical-predictions check)
-#                     and mixed-precision GEMM rates — fp32 and fp64 —
-#                     vs BENCH_8.json (40% floor; the gate also refuses
-#                     a baseline recorded under a different precision mode)
 #                     and the task-DAG scheduler vs BENCH_9.json (40%
 #                     floor on the dag and spawn/join rates)
 #   make all        — test and bench (baseline is run explicitly)
@@ -88,7 +85,6 @@ bench-smoke:
 	$(GO) run ./cmd/dalia-bench -exp=reduced -quick -compare BENCH_5.json -maxregress 0.4
 	$(GO) run ./cmd/dalia-bench -exp=latency -quick -compare BENCH_6.json -maxregress 0.25
 	$(GO) run ./cmd/dalia-bench -exp=recovery -quick -compare BENCH_7.json -maxregress 1.0
-	$(GO) run ./cmd/dalia-bench -exp=precision -quick -compare BENCH_8.json -maxregress 0.4
 	$(GO) run ./cmd/dalia-bench -exp=sched -quick -compare BENCH_9.json -maxregress 0.4
 
 ci: fmt-check test race purego
@@ -106,6 +102,5 @@ ci-local: fmt-check test race
 		./internal/comm/ ./internal/bta/ ./internal/inla/ ./internal/serve/ ./internal/store/
 	$(GO) test -count=1 -run 'CrashRestartRecovery' ./cmd/dalia-serve/
 	$(GO) test -tags purego ./...
-	$(GO) test -tags purego -count=1 -run '32|Mixed|Refined|Precision' ./internal/dense/ ./internal/bta/ ./internal/inla/
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	-$(MAKE) bench-smoke

@@ -44,9 +44,6 @@ type config struct {
 	Seed             int64   `json:"seed"`
 	MaxIter          int     `json:"maxIter"`
 	HyperUncertainty bool    `json:"hyperUncertainty"`
-	// Precision selects the factorization precision policy: "fp64" (default)
-	// or "mixed" (fp32 interior sweeps + fp64 iterative refinement).
-	Precision string `json:"precision,omitempty"`
 }
 
 func defaultConfig() config {
@@ -62,7 +59,6 @@ func defaultConfig() config {
 func main() {
 	cfgPath := flag.String("config", "", "path to a JSON model configuration")
 	printCfg := flag.Bool("print-config", false, "print the default configuration and exit")
-	precFlag := flag.String("precision", "", "factorization precision policy: fp64 or mixed (overrides the config's \"precision\")")
 	schedWorkers := flag.Int("sched-workers", 0, "worker count of the shared task-DAG executor that solver phases and evaluation batches run on (0 = GOMAXPROCS)")
 	flag.Parse()
 	if *schedWorkers > 0 {
@@ -111,18 +107,6 @@ func main() {
 	opts := dalia.DefaultFitOptions()
 	opts.Opt.MaxIter = cfg.MaxIter
 	opts.SkipHyperUncertainty = !cfg.HyperUncertainty
-	precSpec := cfg.Precision
-	if *precFlag != "" {
-		precSpec = *precFlag
-	}
-	prec, err := dalia.ParsePrecision(precSpec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	opts.Precision = prec
-	if prec == dalia.PrecMixed {
-		fmt.Println("precision: mixed (fp32 interior sweeps + fp64 iterative refinement)")
-	}
 	res, err := dalia.Fit(m, prior, ds.Theta0, opts)
 	if err != nil {
 		log.Fatal(err)

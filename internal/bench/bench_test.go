@@ -134,55 +134,6 @@ func TestHybridQuick(t *testing.T) {
 	}
 }
 
-// TestPrecisionQuick runs the mixed-precision experiment in quick mode and
-// checks the baseline invariants: every reduced-precision row carries a
-// speedup against its fp64 partner, the mixed BTA row records its
-// refinement iterations, the self-comparison gate is clean, and a
-// precision-mode mismatch between the two files is itself a gate failure.
-func TestPrecisionQuick(t *testing.T) {
-	base := Precision(true)
-	if base.Precision != "mixed" {
-		t.Fatalf("baseline precision = %q, want mixed", base.Precision)
-	}
-	if base.Workers != 1 {
-		t.Fatalf("workers = %d, want 1 (single-threaded convention)", base.Workers)
-	}
-	pairs := 0
-	for _, r := range base.Results {
-		if r.Seconds <= 0 {
-			t.Fatalf("non-positive measurement: %+v", r)
-		}
-		switch r.Precision {
-		case "fp64":
-			if r.Speedup != 0 {
-				t.Fatalf("fp64 row carries a speedup: %+v", r)
-			}
-		case "fp32", "mixed":
-			if r.Speedup <= 0 {
-				t.Fatalf("reduced-precision row without speedup: %+v", r)
-			}
-			pairs++
-			if r.Precision == "mixed" && r.RefineIters != base.RefineIters {
-				t.Fatalf("mixed row refine iters %d != baseline %d", r.RefineIters, base.RefineIters)
-			}
-		default:
-			t.Fatalf("unknown precision %q", r.Precision)
-		}
-	}
-	if pairs != 4 {
-		t.Fatalf("%d reduced-precision rows, want 4 (gemm×2, potrf, bta cycle)", pairs)
-	}
-	if regs := ComparePrecision(base, base, 0.25); len(regs) != 0 {
-		t.Fatalf("self-comparison regressions: %v", regs)
-	}
-	other := *base
-	other.Precision = "fp64"
-	regs := ComparePrecision(base, &other, 0.25)
-	if len(regs) != 1 || !strings.Contains(regs[0], "not comparable") {
-		t.Fatalf("cross-mode comparison must fail the gate, got %v", regs)
-	}
-}
-
 // TestGatesRefuseCrossMode: every experiment's regression gate refuses a
 // baseline recorded under a different precision policy, and treats the ""
 // of pre-precision baseline files as fp64.

@@ -82,10 +82,10 @@ func normPrec(s string) string {
 }
 
 // precisionMismatch is the cross-mode guard every regression gate runs
-// first: wall times and rates taken under different precision policies are
-// not comparable (a mixed run gated against an fp64 baseline would bank the
-// fp32 speedup as headroom), so a mode mismatch is itself reported as a
-// gate failure rather than silently passing.
+// first: every run records "fp64", but a baseline file is read from disk
+// and may record another mode. Wall times and rates taken under different
+// precision modes are not comparable, so a mismatch is itself reported as
+// a gate failure rather than silently passing.
 func precisionMismatch(what, cur, base string) []string {
 	if normPrec(cur) != normPrec(base) {
 		return []string{fmt.Sprintf(

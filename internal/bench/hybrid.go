@@ -37,13 +37,11 @@ type HybridBaseline struct {
 	Nt         int `json:"nt"`
 	BlockSize  int `json:"block_size"`
 	ArrowSize  int `json:"arrow_size"`
-	// Precision records the factorization precision policy the run measured
-	// ("fp64" here — this suite exercises the pure-fp64 path); RefineIters
-	// the refinement iterations its solves spent. Gates refuse comparisons
-	// across modes.
-	Precision   string         `json:"precision"`
-	RefineIters int            `json:"refine_iters"`
-	Results     []HybridResult `json:"results"`
+	// Precision records the factorization precision the run measured
+	// ("fp64", the only one). Gates refuse a baseline file that records
+	// another mode.
+	Precision string         `json:"precision"`
+	Results   []HybridResult `json:"results"`
 }
 
 // hybridConfigs is the (ranks, partitions-per-rank) sweep: flat rank-only

@@ -29,13 +29,11 @@ type KernelBaseline struct {
 	// always 1, the single-threaded convention of GFLOP/s tables.
 	GoMaxProcs int `json:"gomaxprocs"`
 	Workers    int `json:"workers"`
-	// Precision records the factorization precision policy the run measured
-	// ("fp64" here — this suite exercises the pure-fp64 path); RefineIters
-	// the refinement iterations its solves spent. Gates refuse comparisons
-	// across modes.
-	Precision   string         `json:"precision"`
-	RefineIters int            `json:"refine_iters"`
-	Results     []KernelResult `json:"results"`
+	// Precision records the factorization precision the run measured
+	// ("fp64", the only one). Gates refuse a baseline file that records
+	// another mode.
+	Precision string         `json:"precision"`
+	Results   []KernelResult `json:"results"`
 }
 
 // timeIt runs fn reps times and returns the best wall time in seconds

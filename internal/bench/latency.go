@@ -53,13 +53,11 @@ type LatencyBaseline struct {
 	// SLOFlushes counts batches the SLO policy (not width or window) cut
 	// short across the whole run — evidence the flush policy engaged.
 	SLOFlushes int64 `json:"slo_flushes"`
-	// Precision records the factorization precision policy the run measured
-	// ("fp64" here — this suite exercises the pure-fp64 path); RefineIters
-	// the refinement iterations its solves spent. Gates refuse comparisons
-	// across modes.
-	Precision   string          `json:"precision"`
-	RefineIters int             `json:"refine_iters"`
-	Results     []LatencyResult `json:"results"`
+	// Precision records the factorization precision the run measured
+	// ("fp64", the only one). Gates refuse a baseline file that records
+	// another mode.
+	Precision string          `json:"precision"`
+	Results   []LatencyResult `json:"results"`
 }
 
 // latencySLO is the per-request latency target the benchmark server runs

@@ -51,13 +51,11 @@ type RecoveryBaseline struct {
 	// store on a fresh server.
 	TotalFitSeconds     float64 `json:"total_fit_seconds"`
 	TotalRecoverSeconds float64 `json:"total_recover_seconds"`
-	// Precision records the factorization precision policy the run measured
-	// ("fp64" here — this suite exercises the pure-fp64 path); RefineIters
-	// the refinement iterations its solves spent. Gates refuse comparisons
-	// across modes.
-	Precision   string           `json:"precision"`
-	RefineIters int              `json:"refine_iters"`
-	Results     []RecoveryResult `json:"results"`
+	// Precision records the factorization precision the run measured
+	// ("fp64", the only one). Gates refuse a baseline file that records
+	// another mode.
+	Precision string           `json:"precision"`
+	Results   []RecoveryResult `json:"results"`
 }
 
 // Recovery measures what the persistence layer buys on restart: fit a small

@@ -39,8 +39,8 @@ type SchedBaseline struct {
 	Nt         int `json:"nt"`
 	BlockSize  int `json:"block_size"`
 	ArrowSize  int `json:"arrow_size"`
-	// Precision records the factorization precision policy of the run
-	// ("fp64" — the scheduler suite exercises the pure-fp64 path).
+	// Precision records the factorization precision the run measured
+	// ("fp64", the only one).
 	Precision string        `json:"precision"`
 	Results   []SchedResult `json:"results"`
 }

@@ -40,13 +40,11 @@ type ServingBaseline struct {
 	LatentDim  int     `json:"latent_dim"`
 	Nv         int     `json:"nv"`
 	FitSeconds float64 `json:"fit_seconds"`
-	// Precision records the factorization precision policy the run measured
-	// ("fp64" here — this suite exercises the pure-fp64 path); RefineIters
-	// the refinement iterations its solves spent. Gates refuse comparisons
-	// across modes.
-	Precision   string          `json:"precision"`
-	RefineIters int             `json:"refine_iters"`
-	Results     []ServingResult `json:"results"`
+	// Precision records the factorization precision the run measured
+	// ("fp64", the only one). Gates refuse a baseline file that records
+	// another mode.
+	Precision string          `json:"precision"`
+	Results   []ServingResult `json:"results"`
 }
 
 // Serving measures posterior-prediction throughput on a trivariate model:

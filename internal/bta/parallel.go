@@ -109,9 +109,6 @@ type partState struct {
 	gA           *dense.Matrix    // a×b
 	loBuf        [2]*dense.Matrix // b×b ping-pong for the rolling Σ(lo,·)
 
-	// fp32 shadow arena of the interior sweep (nil under PrecFloat64)
-	shadow *elimShadow32
-
 	err error
 }
 
@@ -182,15 +179,6 @@ type ParallelFactor struct {
 	frontier  redFrontier
 	tipDeltas []*dense.Matrix
 
-	// Mixed-precision state (precision.go): the retained input matrix of the
-	// last Refactorize (fp64 residual corrections), the low flag, and the
-	// refinement scratch. Same single-instance concurrency contract as the
-	// rest of the struct.
-	ref        *Matrix
-	low        bool
-	lastRefine int
-	refB, refR []float64
-
 	// wall-clock split of the last Refactorize (FactorPhaseSeconds).
 	elimSeconds  float64
 	totalSeconds float64
@@ -208,14 +196,6 @@ type ParallelOptions struct {
 	// nesting depth, recursion crossover, and the pipelined boundary
 	// handoff.
 	Reduced ReducedOptions
-	// Precision selects the per-stage precision policy: under PrecMixed the
-	// partition interior sweeps run fp32 (with per-partition fp64 fallback on
-	// lost definiteness) while the reduced boundary system stays fp64, and
-	// solves run fp64 iterative refinement. See the Precision doc.
-	Precision Precision
-	// MaxRefine caps the fp64 residual corrections per refined solve
-	// (0 = DefaultMaxRefine).
-	MaxRefine int
 	// Executor overrides the task executor the partition phases run on
 	// (nil = sched.Shared()).
 	Executor *sched.Executor
@@ -246,8 +226,6 @@ func NewParallelFactorOpts(n, b, a int, o ParallelOptions) (*ParallelFactor, err
 		f.parts = []Partition{{0, n - 1}}
 		f.seq = &Factor{N: n, B: b, A: a,
 			Diag: f.store.Diag, Lower: f.store.Lower, Arrow: f.store.Arrow, Tip: f.store.Tip}
-		f.seq.SetPrecision(o.Precision)
-		f.seq.SetMaxRefine(o.MaxRefine)
 		return f, nil
 	}
 	lb := o.LoadBalance
@@ -315,14 +293,6 @@ func NewParallelFactorOpts(n, b, a int, o ParallelOptions) (*ParallelFactor, err
 			ps.loBuf[1] = dense.New(b, b)
 		}
 		ps.tipMSViews = map[int]*dense.Matrix{}
-		if o.Precision == PrecMixed {
-			size := parts[r].Hi - parts[r].Lo + 1
-			nChain := 0
-			if r > 0 {
-				nChain = nInt + 1
-			}
-			ps.shadow = newElimShadow32(size, nChain, b, a)
-		}
 		f.ps[r] = ps
 	}
 
@@ -443,10 +413,6 @@ func (f *ParallelFactor) Refactorize(m *Matrix) error {
 	if f.P == 1 {
 		return f.seq.Refactorize(m)
 	}
-	// Retained for the fp64 residual corrections of refined solves; m must
-	// stay unchanged until the next Refactorize (see Factor.Refactorize).
-	f.ref = m
-	f.low = false
 	t0 := time.Now()
 	if f.A > 0 {
 		f.store.Tip.CopyFrom(m.Tip)
@@ -471,10 +437,6 @@ func (f *ParallelFactor) Refactorize(m *Matrix) error {
 	}
 	f.curM = nil
 	f.totalSeconds = time.Since(t0).Seconds()
-	// Partitions whose fp32 sweep fell back to fp64 only tighten the factor;
-	// the refinement loop converges faster there, so the whole factor is
-	// treated as low whenever the policy is mixed.
-	f.low = err == nil && f.opts.Precision == PrecMixed
 	return err
 }
 
@@ -616,8 +578,6 @@ func (f *ParallelFactor) elimPartition(r int) error {
 		GNext:     ps.gNext[:0],
 		GTop:      ps.gTop[:0],
 		GArr:      ps.gArr[:0],
-		Prec:      f.opts.Precision,
-		Shadow:    ps.shadow,
 	}
 	if f.A > 0 {
 		pe.Arrow = f.store.Arrow[lo : hi+1]
@@ -714,15 +674,6 @@ func (f *ParallelFactor) Solve(rhs []float64) {
 		f.seq.Solve(rhs)
 		return
 	}
-	if f.low {
-		f.solveRefined(rhs)
-		return
-	}
-	f.solveOnce(rhs)
-}
-
-// solveOnce is the unrefined PPOBTAS sweep.
-func (f *ParallelFactor) solveOnce(rhs []float64) {
 	f.curRhs = rhs
 	f.runPhase(phaseFwd)
 	f.gatherRhs(rhs, true)
@@ -730,81 +681,6 @@ func (f *ParallelFactor) solveOnce(rhs []float64) {
 	f.scatterRhs(rhs)
 	f.runPhase(phaseBwd)
 	f.curRhs = nil
-}
-
-// solveRefined is Solve against a mixed-precision factor: fp64 residual
-// corrections against the retained input matrix, exactly as in
-// Factor.solveRefined but with the parallel sweep as the inner solver.
-func (f *ParallelFactor) solveRefined(rhs []float64) {
-	d := f.Dim()
-	f.refB = growF(f.refB, d)
-	f.refR = growF(f.refR, d)
-	b0, r := f.refB, f.refR
-	x := rhs[:d]
-	copy(b0, x)
-	f.solveOnce(x)
-	maxR := f.opts.MaxRefine
-	if maxR <= 0 {
-		maxR = DefaultMaxRefine
-	}
-	iters := 0
-	for iters < maxR {
-		f.ref.MulVec(x, r)
-		for i := range r {
-			r[i] = b0[i] - r[i]
-		}
-		f.solveOnce(r)
-		iters++
-		var ndx, nx float64
-		for i := range r {
-			x[i] += r[i]
-			if v := math.Abs(r[i]); v > ndx {
-				ndx = v
-			}
-			if v := math.Abs(x[i]); v > nx {
-				nx = v
-			}
-		}
-		if ndx <= refineTol*nx {
-			break
-		}
-	}
-	f.lastRefine = iters
-}
-
-// LastRefineIters reports the fp64 residual corrections of the most recent
-// refined solve (0 after a pure-fp64 solve).
-func (f *ParallelFactor) LastRefineIters() int {
-	if f.P == 1 {
-		return f.seq.LastRefineIters()
-	}
-	return f.lastRefine
-}
-
-// Low reports whether the current factor blocks came from the fp32 sweeps.
-func (f *ParallelFactor) Low() bool {
-	if f.P == 1 {
-		return f.seq.Low()
-	}
-	return f.low
-}
-
-// promote replaces a mixed factor with a full fp64 refactorization of the
-// retained matrix — for operations with no residual to refine against
-// (sampling half-solves, multi-RHS half solves, selected inversion). Cannot
-// lose definiteness: fp64 is strictly more robust than the fp32 sweep that
-// already succeeded. No-op on fp64 factors.
-func (f *ParallelFactor) promote() {
-	if !f.low || f.ref == nil {
-		return
-	}
-	saved := f.opts.Precision
-	f.opts.Precision = PrecFloat64
-	err := f.Refactorize(f.ref)
-	f.opts.Precision = saved
-	if err != nil {
-		panic(fmt.Sprintf("bta: fp64 promotion of an fp32-feasible parallel factor failed: %v", err))
-	}
 }
 
 // SolveLT solves L̃ᵀ·x = x in place for the parallel factor's own Cholesky
@@ -820,7 +696,6 @@ func (f *ParallelFactor) SolveLT(x []float64) {
 		f.seq.SolveLT(x)
 		return
 	}
-	f.promote() // half-solves have no residual to refine against
 	f.gatherRhs(x, false)
 	f.eng.solveLT(f.redRhs)
 	f.scatterRhs(x)
@@ -959,7 +834,6 @@ func (f *ParallelFactor) ForwardSolveMultiInto(w *MultiSolve) {
 		f.seq.ForwardSolveMultiInto(w)
 		return
 	}
-	f.promote() // half-solve norms feed predictive variances; keep them fp64
 	w.checkDims(f.N, f.B, f.A)
 	f.curMS = w
 	f.runPhase(phaseFwdMS)
@@ -976,7 +850,6 @@ func (f *ParallelFactor) BackwardSolveMultiInto(w *MultiSolve) {
 		f.seq.BackwardSolveMultiInto(w)
 		return
 	}
-	f.promote()
 	w.checkDims(f.N, f.B, f.A)
 	red := f.reducedMS(w.K)
 	f.gatherMS(w, red, false)
@@ -1038,7 +911,6 @@ func (f *ParallelFactor) SelectedInversionInto(sig *Matrix) error {
 		return fmt.Errorf("bta: selinv output BTA(n=%d,b=%d,a=%d), factor (n=%d,b=%d,a=%d)",
 			sig.N, sig.B, sig.A, f.N, f.B, f.A)
 	}
-	f.promote() // posterior covariances stay fp64 (per-stage policy)
 	relabel(labelReduced)
 	err := f.eng.selinvInto(f.redSig)
 	relabel(labelNone)

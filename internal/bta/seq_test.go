@@ -158,6 +158,40 @@ func TestFactorizeRejectsIndefinite(t *testing.T) {
 	if _, err := Factorize(m); err == nil {
 		t.Fatal("indefinite BTA must fail to factorize")
 	}
+
+	// An indefinite middle block fails Refactorize on reused storage with
+	// the same error every time, and the factor stays usable: the next SPD
+	// matrix refactorizes and solves like a fresh Factorize.
+	bad := NewMatrix(3, 4, 0)
+	for i := 0; i < 3; i++ {
+		bad.Diag[i].AddDiag(1)
+	}
+	bad.Diag[1].Set(2, 2, -5)
+	f := NewFactor(3, 4, 0)
+	err1 := f.Refactorize(bad)
+	err2 := f.Refactorize(bad)
+	if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
+		t.Fatalf("indefinite middle block: errors %v then %v, want the same error twice", err1, err2)
+	}
+	rng := rand.New(rand.NewSource(95))
+	good := randBTA(rng, 3, 4, 0)
+	if err := f.Refactorize(good); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Factorize(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rhs := randVec(rng, good.Dim())
+	got := append([]float64(nil), rhs...)
+	want := append([]float64(nil), rhs...)
+	f.Solve(got)
+	fresh.Solve(want)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("x[%d] after a failed Refactorize = %v, fresh factor %v", i, got[i], want[i])
+		}
+	}
 }
 
 func TestLogDetAgainstDense(t *testing.T) {

@@ -107,9 +107,9 @@ func TestChaosShrinkBudgetExhausted(t *testing.T) {
 	}
 }
 
-// A θ evaluation that dies inside the solver is quarantined — +Inf for the
-// point, structured EvalError on the evaluator — rather than crashing the
-// batch or poisoning its neighbours.
+// A θ evaluation that fails (here a NaN entry, rejected at decoding) is
+// quarantined — +Inf for the point, structured EvalError on the evaluator —
+// rather than crashing the batch or poisoning its neighbours.
 func TestEvalBatchQuarantinesFailedPoint(t *testing.T) {
 	ds, prior := chaosDataset(t)
 	e := &BTAEvaluator{Model: ds.Model, Prior: prior}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/dalia-hpc/dalia/internal/bta"
 	"github.com/dalia-hpc/dalia/internal/dense"
 	"github.com/dalia-hpc/dalia/internal/model"
 )
@@ -41,26 +40,10 @@ type FitOptions struct {
 	// NoPipeline disables the pipelined boundary handoff of the reduced
 	// assembly.
 	NoPipeline bool
-	// Precision selects the per-stage factorization precision policy:
-	// bta.PrecMixed runs interior elimination sweeps in fp32 (twice the
-	// AVX2 vector width) while the reduced boundary system, log-det
-	// accumulation and non-SPD recovery stay fp64, with fp64 iterative
-	// refinement restoring solve accuracy to fp64 level. The zero value
-	// keeps pure fp64 everywhere.
-	Precision bta.Precision
-	// MaxRefine bounds the fp64 refinement iterations per mixed-precision
-	// solve (0 = bta.DefaultMaxRefine).
-	MaxRefine int
 	// IntegrateHyperGrid additionally integrates the latent posterior over
 	// the eigenvector grid of the mode Hessian (§III-4) instead of the
 	// plug-in at θ* only; requires the Hessian stage.
 	IntegrateHyperGrid bool
-	// MaxEvalRetries / RetryBackoff override the mode search's
-	// quarantined-evaluation retry policy (OptOptions.MaxEvalRetries /
-	// OptOptions.RetryBackoff) when set (> 0); zero keeps whatever Opt
-	// carries.
-	MaxEvalRetries int
-	RetryBackoff   float64
 	// Ctx, when non-nil, propagates cancellation into the mode search: a
 	// canceled context aborts the BFGS loop at the next iteration boundary
 	// (a checkpoint boundary) and Fit returns ErrFitCanceled. The posterior
@@ -107,18 +90,12 @@ func Fit(m *model.Model, prior Prior, theta0 []float64, opts FitOptions) (*Resul
 	e := &BTAEvaluator{Model: m, Prior: prior, Workers: opts.Workers,
 		S2: !opts.DisableS2, Partitions: opts.SolverPartitions,
 		Recursion: opts.SolverRecursion, ReducedCrossover: opts.ReducedCrossover,
-		NoPipeline: opts.NoPipeline, Precision: opts.Precision, MaxRefine: opts.MaxRefine}
+		NoPipeline: opts.NoPipeline}
 	return fitWith(e, theta0, opts)
 }
 
 // fitWith runs the INLA stages on any Evaluator backend.
 func fitWith(e Evaluator, theta0 []float64, opts FitOptions) (*Result, error) {
-	if opts.MaxEvalRetries > 0 {
-		opts.Opt.MaxEvalRetries = opts.MaxEvalRetries
-	}
-	if opts.RetryBackoff > 0 {
-		opts.Opt.RetryBackoff = opts.RetryBackoff
-	}
 	if opts.Ctx != nil {
 		opts.Opt.Ctx = opts.Ctx
 	}

@@ -121,8 +121,6 @@ type solverSpec struct {
 	depth     int
 	crossover int
 	pipeline  bool
-	prec      bta.Precision
-	maxRefine int
 	// exec overrides the task executor the solver phases run on (nil =
 	// sched.Shared()); it participates in the spec comparison that gates
 	// cachedParallel rebuilds.
@@ -132,7 +130,7 @@ type solverSpec struct {
 // specOf converts a batch plan into the factorization spec.
 func specOf(plan SharedPlan) solverSpec {
 	return solverSpec{parts: plan.Partitions, depth: plan.Recursion,
-		pipeline: plan.PipelineReduced, prec: plan.Precision}
+		pipeline: plan.PipelineReduced}
 }
 
 // cachedParallel lazily builds and caches one parallel-in-time factor per
@@ -151,15 +149,11 @@ func (c *cachedParallel) solver(seq *bta.Factor, n, b, a int, spec solverSpec) (
 		spec.parts = mx
 	}
 	if spec.parts <= 1 {
-		seq.SetPrecision(spec.prec)
-		seq.SetMaxRefine(spec.maxRefine)
 		return seq, nil
 	}
 	if c.pf == nil || c.spec != spec {
 		pf, err := bta.NewParallelFactorOpts(n, b, a, bta.ParallelOptions{
 			Partitions: spec.parts,
-			Precision:  spec.prec,
-			MaxRefine:  spec.maxRefine,
 			Reduced: bta.ReducedOptions{
 				Depth: spec.depth, Crossover: spec.crossover, Pipeline: spec.pipeline,
 			},
@@ -324,15 +318,6 @@ type BTAEvaluator struct {
 	// NoPipeline forces the eager (non-streamed) reduced assembly even
 	// where the batch plan would pipeline the boundary handoff.
 	NoPipeline bool
-	// Precision selects the per-stage factorization precision policy:
-	// bta.PrecMixed runs interior elimination sweeps in fp32 with the
-	// reduced system, log-dets and non-SPD recovery in fp64, and fp64
-	// iterative refinement on the conditional-mean solves. The zero value
-	// keeps pure fp64 everywhere.
-	Precision bta.Precision
-	// MaxRefine bounds the fp64 refinement iterations per mixed-precision
-	// solve (0 = bta.DefaultMaxRefine).
-	MaxRefine int
 	// Exec overrides the task executor batches and solvers run on
 	// (nil = sched.Shared()). Tests use private executors so shutdown/leak
 	// behaviour can be asserted in isolation.
@@ -418,7 +403,6 @@ func (e *BTAEvaluator) planFor(width int, s2 bool) SharedPlan {
 	if e.NoPipeline {
 		plan.PipelineReduced = false
 	}
-	plan.Precision = e.Precision
 	return plan
 }
 
@@ -426,7 +410,6 @@ func (e *BTAEvaluator) planFor(width int, s2 bool) SharedPlan {
 func (e *BTAEvaluator) specFor(width int, s2 bool) solverSpec {
 	spec := specOf(e.planFor(width, s2))
 	spec.crossover = e.ReducedCrossover
-	spec.maxRefine = e.MaxRefine
 	spec.exec = e.Exec
 	return spec
 }

@@ -312,13 +312,35 @@ func TestBatchEvaluatorInfeasiblePoint(t *testing.T) {
 	ds := genSmall(t, 1)
 	e := &BTAEvaluator{Model: ds.Model, Prior: WeakPrior(ds.Theta0, 5)}
 	bad := append([]float64(nil), ds.Theta0...)
-	bad[0] = 800 // exp overflows to +Inf → NaN assembly → non-SPD
+	bad[0] = 800 // exp overflows to +Inf: no finite spatial range
 	vals := e.EvalBatch([][]float64{ds.Theta0, bad})
 	if math.IsInf(vals[0], 1) {
 		t.Fatal("good point reported infeasible")
 	}
 	if !math.IsInf(vals[1], 1) {
 		t.Fatal("bad point must evaluate to +Inf")
+	}
+}
+
+// TestUnderflowedRangeIsInfeasible: a temporal range that decodes to 0 is an
+// infeasible point on the S2 path too, where the Q_p pipeline runs on a
+// goroutine of its own — an error from EvalFobj and +Inf from EvalBatch,
+// not a panic that takes the process down.
+func TestUnderflowedRangeIsInfeasible(t *testing.T) {
+	ds := genSmall(t, 1)
+	prior := WeakPrior(ds.Theta0, 5)
+	bad := append([]float64(nil), ds.Theta0...)
+	bad[1] = -800 // log range_t: exp underflows to 0
+	if _, err := EvalFobj(ds.Model, prior, bad, true); err == nil {
+		t.Fatal("EvalFobj at an underflowed range must fail")
+	}
+	e := &BTAEvaluator{Model: ds.Model, Prior: prior, S2: true}
+	vals := e.EvalBatch([][]float64{ds.Theta0, bad})
+	if math.IsInf(vals[0], 0) || math.IsNaN(vals[0]) {
+		t.Fatalf("good point = %v, want finite", vals[0])
+	}
+	if !math.IsInf(vals[1], 1) {
+		t.Fatalf("underflowed range = %v, want +Inf", vals[1])
 	}
 }
 

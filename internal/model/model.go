@@ -188,42 +188,53 @@ func (m *Model) NumHyper() int {
 }
 
 // DecodeTheta maps the unconstrained optimizer vector to model quantities:
-// [log ρ_s, log ρ_t, log σ]×nv, λ…, [log τ_y]×nv.
+// [log ρ_s, log ρ_t, log σ]×nv, λ…, [log τ_y]×nv. A θ whose ranges, σ or τ_y
+// do not decode to finite positive values (exp underflows to 0 below about
+// −745 and overflows to +Inf above about 709) is an error, so the point is
+// infeasible rather than handed to the assembly.
 func (m *Model) DecodeTheta(theta []float64) (*Theta, error) {
 	if len(theta) != m.NumHyper() {
 		return nil, fmt.Errorf("model: theta length %d, want %d", len(theta), m.NumHyper())
 	}
+	var bad error
+	scale := func(i int, name string) float64 {
+		v := math.Exp(theta[i])
+		if !(v > 0) || math.IsInf(v, 1) {
+			if bad == nil {
+				bad = fmt.Errorf("model: theta[%d] = %v decodes to %s = %v, want finite and > 0", i, theta[i], name, v)
+			}
+		}
+		return v
+	}
 	nv := m.Dims.Nv
 	out := &Theta{}
-	idx := 0
-	for k := 0; k < nv; k++ {
-		out.Process = append(out.Process, spde.Hyper{
-			RangeS: math.Exp(theta[idx]),
-			RangeT: math.Exp(theta[idx+1]),
-			Sigma:  1, // LMC latent processes have unit variance (§II-B);
-			// process scale lives in Λ's σ.
-		})
-		idx += 3
-		// σ_k of Λ comes from the same triple's third entry:
-		_ = k
-	}
-	// Re-read the σ entries (third of each triple) for Λ's scales.
 	sig := make([]float64, nv)
 	for k := 0; k < nv; k++ {
-		sig[k] = math.Exp(theta[3*k+2])
+		// LMC latent processes have unit variance (§II-B); the process
+		// scale σ_k lives in Λ.
+		out.Process = append(out.Process, spde.Hyper{
+			RangeS: scale(3*k, "range_s"),
+			RangeT: scale(3*k+1, "range_t"),
+			Sigma:  1,
+		})
+		sig[k] = scale(3*k+2, "sigma")
 	}
-	lam := make([]float64, coreg.NumLambdas(nv))
-	copy(lam, theta[3*nv:3*nv+len(lam)])
+	nl := coreg.NumLambdas(nv)
+	if m.Lik == LikGaussian {
+		for k := 0; k < nv; k++ {
+			out.TauY = append(out.TauY, scale(3*nv+nl+k, "tau_y"))
+		}
+	}
+	if bad != nil {
+		return nil, bad
+	}
+	lam := make([]float64, nl)
+	copy(lam, theta[3*nv:3*nv+nl])
 	l, err := coreg.NewLambda(sig, lam)
 	if err != nil {
 		return nil, err
 	}
 	out.Lambda = l
-	if m.Lik == LikGaussian {
-		for k := 0; k < nv; k++ {
-			out.TauY = append(out.TauY, math.Exp(theta[3*nv+len(lam)+k]))
-		}
-	}
 	return out, nil
 }
 

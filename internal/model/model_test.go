@@ -114,6 +114,35 @@ func TestDecodeThetaRejectsWrongLength(t *testing.T) {
 	}
 }
 
+// TestDecodeThetaRejectsNonPositiveScales: a θ entry whose exp underflows
+// to 0, overflows to +Inf or is NaN leaves no usable range, σ or τ_y, so
+// decoding fails instead of handing the value to the assembly.
+func TestDecodeThetaRejectsNonPositiveScales(t *testing.T) {
+	m, th := testModel(t, 2, 2)
+	good := m.EncodeTheta(th)
+	if _, err := m.DecodeTheta(good); err != nil {
+		t.Fatal(err)
+	}
+	nl := coreg.NumLambdas(2)
+	for _, tc := range []struct {
+		name string
+		i    int
+		v    float64
+	}{
+		{"range_s underflow", 0, -800},
+		{"range_t underflow", 1, -800},
+		{"sigma overflow", 2, 800},
+		{"range_t of process 2 NaN", 4, math.NaN()},
+		{"tau_y overflow", 6 + nl + 1, 800},
+	} {
+		bad := append([]float64(nil), good...)
+		bad[tc.i] = tc.v
+		if _, err := m.DecodeTheta(bad); err == nil {
+			t.Fatalf("%s: theta[%d] = %v must not decode", tc.name, tc.i, tc.v)
+		}
+	}
+}
+
 func TestQpQcBTAMatchesCSR(t *testing.T) {
 	m, th := testModel(t, 2, 3)
 	n, b, a := m.Dims.BTAShape()

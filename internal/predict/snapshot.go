@@ -24,10 +24,8 @@ import (
 // loaded the old snapshot finish against it; its scratch drains to the
 // garbage collector with no goroutines to wind down).
 //
-// Prediction always runs the factorization in pure fp64, regardless of any
-// mixed-precision policy the fit ran under: predictive variances are
-// triangular half-solve norms, which have no residual to refine against, so
-// the per-stage policy assigns this stage fp64 outright.
+// Predictive variances are the squared norms of triangular half solves
+// against the snapshot's own fp64 factorization of Q_c at the fitted θ.
 type Snapshot struct {
 	m     *model.Model
 	theta *model.Theta
