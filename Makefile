@@ -91,12 +91,12 @@ ci: fmt-check test race purego
 	-$(MAKE) bench-smoke
 
 # Mirror of the GitHub workflow, job by job: tier1, race, the race-pintime
-# GOMAXPROCS matrix over the partition/replica packages, the chaos
+# GOMAXPROCS matrix over the kernel/partition/replica packages, the chaos
 # fault-injection suite, the purego fallback with the arm64 cross-build,
 # then the non-blocking perf smoke and latency gate.
 ci-local: fmt-check test race
-	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/sched/ ./internal/bta/ ./internal/comm/ ./internal/inla/ ./internal/predict/ ./internal/serve/
-	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/sched/ ./internal/bta/ ./internal/comm/ ./internal/inla/ ./internal/predict/ ./internal/serve/
+	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/sched/ ./internal/dense/ ./internal/bta/ ./internal/comm/ ./internal/inla/ ./internal/predict/ ./internal/serve/
+	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/sched/ ./internal/dense/ ./internal/bta/ ./internal/comm/ ./internal/inla/ ./internal/predict/ ./internal/serve/
 	$(GO) test -race -count=2 \
 		-run 'Chaos|Fault|Kill|Shrink|Revoke|Timeout|Corrupt|Dropped|Dead|Quarantine|Recovery|Overload|Shutdown|Drain|Panic|Readyz|Resilience|Torture|Restart|Interrupted' \
 		./internal/comm/ ./internal/bta/ ./internal/inla/ ./internal/serve/ ./internal/store/

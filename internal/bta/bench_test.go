@@ -1,6 +1,7 @@
 package bta
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -61,28 +62,34 @@ func TestRefactorizeSolveZeroAlloc(t *testing.T) {
 	}
 	prev := dense.SetMaxWorkers(1)
 	defer dense.SetMaxWorkers(prev)
-	rng := rand.New(rand.NewSource(13))
-	n, b, a := 4, 96, 4
-	m := randBTA(rng, n, b, a)
-	f := NewFactor(n, b, a)
-	rhs0 := randVec(rng, m.Dim())
-	rhs := make([]float64, m.Dim())
-	// Warm-up: fills the factor storage and the dense packing pools.
-	if err := f.Refactorize(m); err != nil {
-		t.Fatal(err)
-	}
-	copy(rhs, rhs0)
-	f.Solve(rhs)
-	allocs := testing.AllocsPerRun(10, func() {
-		if err := f.Refactorize(m); err != nil {
-			t.Fatal(err)
-		}
-		copy(rhs, rhs0)
-		f.Solve(rhs)
-		_ = f.LogDet()
-	})
-	if allocs != 0 {
-		t.Fatalf("Refactorize+Solve cycle allocates %.1f objects per run in steady state, want 0", allocs)
+	// b=96 runs the blocked kernels on mid-size blocks; b=144, a=6 is the
+	// fit-ap1 shape, whose blocks take the packed Syrk, the blocked
+	// right-side Trsm and the blocked Potrf.
+	for _, sh := range []struct{ n, b, a int }{{4, 96, 4}, {8, 144, 6}} {
+		t.Run(fmt.Sprintf("n=%d,b=%d,a=%d", sh.n, sh.b, sh.a), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(13))
+			m := randBTA(rng, sh.n, sh.b, sh.a)
+			f := NewFactor(sh.n, sh.b, sh.a)
+			rhs0 := randVec(rng, m.Dim())
+			rhs := make([]float64, m.Dim())
+			// Warm-up: fills the factor storage and the dense packing pools.
+			if err := f.Refactorize(m); err != nil {
+				t.Fatal(err)
+			}
+			copy(rhs, rhs0)
+			f.Solve(rhs)
+			allocs := testing.AllocsPerRun(10, func() {
+				if err := f.Refactorize(m); err != nil {
+					t.Fatal(err)
+				}
+				copy(rhs, rhs0)
+				f.Solve(rhs)
+				_ = f.LogDet()
+			})
+			if allocs != 0 {
+				t.Fatalf("Refactorize+Solve cycle allocates %.1f objects per run in steady state, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -96,15 +96,21 @@ func MatMul(transA, transB Transpose, a, b *Matrix) *Matrix {
 	return c
 }
 
-// syrkBlock is the panel width of the blocked Syrk: off-diagonal panels
-// become Gemm calls on the packed engine, diagonal blocks stay on the
-// naive triangular loops.
-const syrkBlock = 64
+// factorPackShape is the dispatch threshold of the right-side Trsm and of
+// Potrf between their unblocked loops and the blocked paths on the packed
+// engine, compared, like gemmPackFlops, with the product of the call's
+// three dimensions (m·n·n for Trsm, n³ for Potrf). Below it, and for Trsm
+// with at most NR right-hand rows, the loops are faster: the narrow Gemm
+// updates of the blocked Trsm would not leave the small loops, and packing
+// is not amortized (b=30 blocks and 6-row arrow panels stay on the loops).
+const factorPackShape = 48 * 48 * 48
 
 // Syrk computes the lower triangle of C = alpha*op(A)*op(A)ᵀ + beta*C.
 // With trans == NoTrans, op(A) = A (C is a.Rows×a.Rows); with Trans,
 // op(A) = Aᵀ (C is a.Cols×a.Cols). Only the lower triangle of C is
-// referenced and written.
+// referenced and written. Calls with more than NR rows of op(A) and at
+// least gemmPackFlops in n·n·k run one packed pass over the lower triangle
+// (syrkPacked); the rest the reference loops (syrkRef).
 func Syrk(trans Transpose, alpha float64, a *Matrix, beta float64, c *Matrix) {
 	n, k := opShape(trans, a)
 	if c.Rows != n || c.Cols != n {
@@ -125,35 +131,22 @@ func Syrk(trans Transpose, alpha float64, a *Matrix, beta float64, c *Matrix) {
 	if alpha == 0 || n == 0 || k == 0 {
 		return
 	}
-	if n <= syrkBlock {
-		syrkRef(trans, alpha, a, c)
+	if n > NR && n*n*k >= gemmPackFlops {
+		syrkPacked(trans, alpha, a, c)
 		return
 	}
-	for i0 := 0; i0 < n; i0 += syrkBlock {
-		ib := min(syrkBlock, n-i0)
-		if i0 > 0 {
-			// Off-diagonal panel C[i0:i0+ib, 0:i0] += alpha·op(A)_I·op(A)_Jᵀ.
-			cPanel := c.View(i0, 0, ib, i0)
-			if trans == NoTrans {
-				Gemm(NoTrans, Trans, alpha, a.View(i0, 0, ib, k), a.View(0, 0, i0, k), 1, cPanel)
-			} else {
-				Gemm(Trans, NoTrans, alpha, a.View(0, i0, k, ib), a.View(0, 0, k, i0), 1, cPanel)
-			}
-		}
-		// Diagonal block: naive triangular accumulation.
-		var slab *Matrix
-		if trans == NoTrans {
-			slab = a.View(i0, 0, ib, k)
-		} else {
-			slab = a.View(0, i0, k, ib)
-		}
-		syrkRef(trans, alpha, slab, c.View(i0, i0, ib, ib))
-	}
+	syrkRef(trans, alpha, a, c)
 }
 
-// trsmBlock is the diagonal-block size of the blocked Trsm; the
+// trsmBlock is the diagonal-block size of the blocked left-side Trsm; the
 // off-diagonal updates become Gemm calls.
 const trsmBlock = 64
+
+// trsmPanel is the column-block width of the blocked right-side Trsm:
+// narrow enough that the strided triangular loop only sees a small
+// diagonal triangle, wide enough (two NR micro-panels) that the Gemm
+// update carrying the O(m·n²) work packs well.
+const trsmPanel = 16
 
 // Trsm solves a triangular system with a lower-triangular L in place of B:
 //
@@ -163,9 +156,12 @@ const trsmBlock = 64
 //	Right, Trans:   B ← B L⁻ᵀ
 //
 // Only the lower triangle of L is referenced. Unit-diagonal systems are not
-// needed by the BTA solvers and are not supported. Systems larger than
-// trsmBlock are solved blocked: small triangular solves on the diagonal
-// blocks, level-3 Gemm updates for everything else.
+// needed by the BTA solvers and are not supported. The left side is blocked
+// at trsmBlock once L is larger: small triangular solves on the diagonal
+// blocks, level-3 Gemm updates for everything else. The right side, which
+// the factorization calls, runs left-looking over trsmPanel-wide column
+// blocks (trsmRight) once B has more than NR rows and m·n·n reaches
+// factorPackShape.
 func Trsm(side Side, trans Transpose, l, b *Matrix) {
 	if l.Rows != l.Cols {
 		panic("dense: trsm with non-square triangular factor")
@@ -177,12 +173,19 @@ func Trsm(side Side, trans Transpose, l, b *Matrix) {
 	if n == 0 || b.Rows == 0 || b.Cols == 0 {
 		return
 	}
+	if side == Right {
+		if b.Rows > NR && b.Rows*n*n >= factorPackShape {
+			trsmRight(trans, l, b)
+		} else {
+			trsmUnb(side, trans, l, b)
+		}
+		return
+	}
 	if n <= trsmBlock {
 		trsmUnb(side, trans, l, b)
 		return
 	}
-	switch {
-	case side == Left && trans == NoTrans:
+	if trans == NoTrans {
 		// Forward over row blocks: solve diag, then eliminate below.
 		for k0 := 0; k0 < n; k0 += trsmBlock {
 			kb := min(trsmBlock, n-k0)
@@ -192,42 +195,53 @@ func Trsm(side Side, trans Transpose, l, b *Matrix) {
 				Gemm(NoTrans, NoTrans, -1, l.View(k0+kb, k0, rem, kb), bk, 1, b.View(k0+kb, 0, rem, b.Cols))
 			}
 		}
-	case side == Left && trans == Trans:
-		// Backward over row blocks: eliminate from below, then solve diag.
-		k0 := ((n - 1) / trsmBlock) * trsmBlock
-		for ; k0 >= 0; k0 -= trsmBlock {
-			kb := min(trsmBlock, n-k0)
-			bk := b.View(k0, 0, kb, b.Cols)
-			if rem := n - k0 - kb; rem > 0 {
-				Gemm(Trans, NoTrans, -1, l.View(k0+kb, k0, rem, kb), b.View(k0+kb, 0, rem, b.Cols), 1, bk)
-			}
-			trsmUnb(Left, Trans, l.View(k0, k0, kb, kb), bk)
+		return
+	}
+	// Backward over row blocks: eliminate from below, then solve diag.
+	k0 := ((n - 1) / trsmBlock) * trsmBlock
+	for ; k0 >= 0; k0 -= trsmBlock {
+		kb := min(trsmBlock, n-k0)
+		bk := b.View(k0, 0, kb, b.Cols)
+		if rem := n - k0 - kb; rem > 0 {
+			Gemm(Trans, NoTrans, -1, l.View(k0+kb, k0, rem, kb), b.View(k0+kb, 0, rem, b.Cols), 1, bk)
 		}
-	case side == Right && trans == Trans:
-		// Forward over column blocks of X·Lᵀ = B.
-		for j0 := 0; j0 < n; j0 += trsmBlock {
-			jb := min(trsmBlock, n-j0)
-			bj := b.View(0, j0, b.Rows, jb)
-			if j0 > 0 {
-				Gemm(NoTrans, Trans, -1, b.View(0, 0, b.Rows, j0), l.View(j0, 0, jb, j0), 1, bj)
-			}
-			trsmUnb(Right, Trans, l.View(j0, j0, jb, jb), bj)
-		}
-	default: // Right, NoTrans
-		// Backward over column blocks of X·L = B.
-		j0 := ((n - 1) / trsmBlock) * trsmBlock
-		for ; j0 >= 0; j0 -= trsmBlock {
-			jb := min(trsmBlock, n-j0)
-			bj := b.View(0, j0, b.Rows, jb)
-			if rem := n - j0 - jb; rem > 0 {
-				Gemm(NoTrans, NoTrans, -1, b.View(0, j0+jb, b.Rows, rem), l.View(j0+jb, j0, rem, jb), 1, bj)
-			}
-			trsmUnb(Right, NoTrans, l.View(j0, j0, jb, jb), bj)
-		}
+		trsmUnb(Left, Trans, l.View(k0, k0, kb, kb), bk)
 	}
 }
 
-// trsmUnb is the unblocked triangular solve used on diagonal blocks.
+// trsmRight is the blocked right-side solve, left-looking over column
+// blocks of width trsmPanel: each block first takes the Gemm update from
+// every block already solved, then the narrow diagonal triangle is solved
+// by the unblocked row loop (serially: its work is too small to split).
+//
+//	Trans   (X·Lᵀ = B): forward,  X_J = (B_J − X_{<J}·L_{J,<J}ᵀ)·L_JJ⁻ᵀ
+//	NoTrans (X·L = B):  backward, X_J = (B_J − X_{>J}·L_{>J,J})·L_JJ⁻¹
+func trsmRight(trans Transpose, l, b *Matrix) {
+	n, m := l.Rows, b.Rows
+	if trans == Trans {
+		for j0 := 0; j0 < n; j0 += trsmPanel {
+			jb := min(trsmPanel, n-j0)
+			bj := b.View(0, j0, m, jb)
+			if j0 > 0 {
+				Gemm(NoTrans, Trans, -1, b.View(0, 0, m, j0), l.View(j0, 0, jb, j0), 1, bj)
+			}
+			trsmUnbRTRange(0, m, jb, l.Data[j0*l.Stride+j0:], l.Stride, bj.Data, bj.Stride, jb)
+		}
+		return
+	}
+	for j0 := ((n - 1) / trsmPanel) * trsmPanel; j0 >= 0; j0 -= trsmPanel {
+		jb := min(trsmPanel, n-j0)
+		bj := b.View(0, j0, m, jb)
+		if rem := n - j0 - jb; rem > 0 {
+			Gemm(NoTrans, NoTrans, -1, b.View(0, j0+jb, m, rem), l.View(j0+jb, j0, rem, jb), 1, bj)
+		}
+		trsmUnbRNRange(0, m, jb, l.Data[j0*l.Stride+j0:], l.Stride, bj.Data, bj.Stride, jb)
+	}
+}
+
+// trsmUnb is the unblocked triangular solve: the whole solve on small
+// shapes, the diagonal blocks of the blocked left side, and the test
+// oracle of the blocked paths.
 func trsmUnb(side Side, trans Transpose, l, b *Matrix) {
 	n := l.Rows
 	switch {
@@ -292,7 +306,30 @@ func trsmUnbRT(n int, lData []float64, lStride int, bData []float64, bStride, bR
 }
 
 func trsmUnbRTRange(lo, hi, n int, lData []float64, lStride int, bData []float64, bStride, bCols int) {
-	for i := lo; i < hi; i++ {
+	i := lo
+	// Four rows at a time: their dot products are independent chains that
+	// share each load of L, which hides the add latency bounding one chain.
+	// Every row still sees the same operations in the same order.
+	for ; i+4 <= hi; i += 4 {
+		x0 := bData[i*bStride : i*bStride+bCols]
+		x1 := bData[(i+1)*bStride : (i+1)*bStride+bCols]
+		x2 := bData[(i+2)*bStride : (i+2)*bStride+bCols]
+		x3 := bData[(i+3)*bStride : (i+3)*bStride+bCols]
+		for j := 0; j < n; j++ {
+			lj := lData[j*lStride : j*lStride+j]
+			y0, y1, y2, y3 := x0[:len(lj)], x1[:len(lj)], x2[:len(lj)], x3[:len(lj)]
+			s0, s1, s2, s3 := x0[j], x1[j], x2[j], x3[j]
+			for k, v := range lj {
+				s0 -= y0[k] * v
+				s1 -= y1[k] * v
+				s2 -= y2[k] * v
+				s3 -= y3[k] * v
+			}
+			d := lData[j*lStride+j]
+			x0[j], x1[j], x2[j], x3[j] = s0/d, s1/d, s2/d, s3/d
+		}
+	}
+	for ; i < hi; i++ {
 		x := bData[i*bStride : i*bStride+bCols]
 		for j := 0; j < n; j++ {
 			lj := lData[j*lStride : j*lStride+j+1]
@@ -318,7 +355,30 @@ func trsmUnbRN(n int, lData []float64, lStride int, bData []float64, bStride, bR
 }
 
 func trsmUnbRNRange(lo, hi, n int, lData []float64, lStride int, bData []float64, bStride, bCols int) {
-	for i := lo; i < hi; i++ {
+	i := lo
+	// Four rows at a time, as in trsmUnbRTRange: each strided load of L
+	// feeds four independent chains.
+	for ; i+4 <= hi; i += 4 {
+		x0 := bData[i*bStride : i*bStride+bCols]
+		x1 := bData[(i+1)*bStride : (i+1)*bStride+bCols]
+		x2 := bData[(i+2)*bStride : (i+2)*bStride+bCols]
+		x3 := bData[(i+3)*bStride : (i+3)*bStride+bCols]
+		for j := n - 1; j >= 0; j-- {
+			y0 := x0[j+1 : n]
+			y1, y2, y3 := x1[j+1:][:len(y0)], x2[j+1:][:len(y0)], x3[j+1:][:len(y0)]
+			s0, s1, s2, s3 := x0[j], x1[j], x2[j], x3[j]
+			for k := range y0 {
+				v := lData[(j+1+k)*lStride+j]
+				s0 -= y0[k] * v
+				s1 -= y1[k] * v
+				s2 -= y2[k] * v
+				s3 -= y3[k] * v
+			}
+			d := lData[j*lStride+j]
+			x0[j], x1[j], x2[j], x3[j] = s0/d, s1/d, s2/d, s3/d
+		}
+	}
+	for ; i < hi; i++ {
 		x := bData[i*bStride : i*bStride+bCols]
 		for j := n - 1; j >= 0; j-- {
 			s := x[j]

@@ -11,48 +11,45 @@ import (
 // hyperparameter configuration; callers back off rather than abort.
 var ErrNotPositiveDefinite = errors.New("dense: matrix is not positive definite")
 
-// potrfBlock is the panel width of the blocked Cholesky. 64 balances
-// level-3 content against cache residency for float64 on commodity CPUs.
-const potrfBlock = 64
+// potrfPanel is the panel width of the blocked Cholesky: the unblocked
+// loops only factor potrfPanel-wide diagonal blocks and solve the narrow
+// panels below them; the trailing update carrying the O(n³) work runs on
+// the packed lower-triangle Syrk.
+const potrfPanel = 16
 
 // Potrf overwrites the lower triangle of a with its Cholesky factor L such
 // that A = L·Lᵀ. The strict upper triangle is left untouched (callers that
 // need a clean factor use ZeroUpper). Returns ErrNotPositiveDefinite when a
-// pivot is ≤ 0 or NaN.
+// pivot is ≤ 0 or NaN. Matrices with n³ below factorPackShape are factored
+// by the unblocked loops; larger ones right-looking over potrfPanel-wide
+// panels.
 func Potrf(a *Matrix) error {
 	if a.Rows != a.Cols {
 		return fmt.Errorf("dense: potrf of non-square %d×%d matrix", a.Rows, a.Cols)
 	}
 	n := a.Rows
-	for j := 0; j < n; j += potrfBlock {
-		bw := potrfBlock
-		if j+bw > n {
-			bw = n - j
-		}
+	if n*n*n < factorPackShape {
+		return potf2(a)
+	}
+	for j := 0; j < n; j += potrfPanel {
+		bw := min(potrfPanel, n-j)
 		d := a.View(j, j, bw, bw)
-		if j > 0 {
-			// Trailing update of the panel from already-factored columns:
-			// D ← D − P·Pᵀ, R ← R − Q·Pᵀ.
-			p := a.View(j, 0, bw, j)
-			Syrk(NoTrans, -1, p, 1, d)
-			if rem := n - j - bw; rem > 0 {
-				q := a.View(j+bw, 0, rem, j)
-				r := a.View(j+bw, j, rem, bw)
-				Gemm(NoTrans, Trans, -1, q, p, 1, r)
-			}
-		}
 		if err := potf2(d); err != nil {
 			return err
 		}
 		if rem := n - j - bw; rem > 0 {
+			// Panel below the diagonal block, then the trailing update
+			// A22 ← A22 − L21·L21ᵀ on its lower triangle.
 			r := a.View(j+bw, j, rem, bw)
 			Trsm(Right, Trans, d, r)
+			Syrk(NoTrans, -1, r, 1, a.View(j+bw, j+bw, rem, rem))
 		}
 	}
 	return nil
 }
 
-// potf2 is the unblocked lower Cholesky used on diagonal panels.
+// potf2 is the unblocked lower Cholesky: the whole factorization of small
+// matrices, the diagonal blocks of the blocked one, and its test oracle.
 func potf2(a *Matrix) error {
 	n := a.Rows
 	for j := 0; j < n; j++ {
@@ -67,7 +64,23 @@ func potf2(a *Matrix) error {
 		d := math.Sqrt(s)
 		row[j] = d
 		inv := 1 / d
-		for i := j + 1; i < n; i++ {
+		lj := row[:j]
+		i := j + 1
+		// Four rows at a time: independent dot products sharing each load
+		// of row j, in the same order as the one-row loop below.
+		for ; i+4 <= n; i += 4 {
+			r0, r1, r2, r3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
+			y0, y1, y2, y3 := r0[:len(lj)], r1[:len(lj)], r2[:len(lj)], r3[:len(lj)]
+			s0, s1, s2, s3 := r0[j], r1[j], r2[j], r3[j]
+			for k, v := range lj {
+				s0 -= y0[k] * v
+				s1 -= y1[k] * v
+				s2 -= y2[k] * v
+				s3 -= y3[k] * v
+			}
+			r0[j], r1[j], r2[j], r3[j] = s0*inv, s1*inv, s2*inv, s3*inv
+		}
+		for ; i < n; i++ {
 			ri := a.Row(i)
 			s := ri[j]
 			for k := 0; k < j; k++ {

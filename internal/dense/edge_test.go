@@ -148,14 +148,14 @@ func TestGemmAlphaBetaFastPaths(t *testing.T) {
 	}
 }
 
-// TestSyrkBlockedVsReference exercises the blocked Syrk (off-diagonal
-// panels via Gemm) against the plain triangular reference, on sizes
-// straddling syrkBlock, for both transposes, with strided views, and with
-// the beta=0 fast path on a garbage-filled C.
+// TestSyrkBlockedVsReference exercises Syrk against the plain triangular
+// reference on sizes either side of its dispatch to the packed pass and
+// of mcBlock, for both transposes, with strided views, and with the beta=0
+// fast path on a garbage-filled C.
 func TestSyrkBlockedVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, trans := range []Transpose{NoTrans, Trans} {
-		for _, n := range []int{1, 5, syrkBlock - 1, syrkBlock, syrkBlock + 1, 2*syrkBlock + 17} {
+		for _, n := range []int{1, 5, NR, NR + 1, 63, 64, 65, mcBlock + 17} {
 			k := 37
 			var a *Matrix
 			if trans == NoTrans {
@@ -195,8 +195,8 @@ func TestSyrkBlockedVsReference(t *testing.T) {
 	}
 }
 
-// TestTrsmBlockedRoundTrip: blocked Trsm (sizes above trsmBlock) must
-// invert Trmm for every side/transpose combination, including on views.
+// TestTrsmBlockedRoundTrip: blocked Trsm (sizes above trsmBlock, 23 rows
+// of B for the right side) must invert Trmm for every side/transpose combination, including on views.
 func TestTrsmBlockedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for _, n := range []int{trsmBlock + 1, 2*trsmBlock + 13} {
@@ -228,11 +228,11 @@ func TestTrsmBlockedRoundTrip(t *testing.T) {
 }
 
 // TestPotrfLargeReconstruction: the blocked Cholesky at a size that
-// engages every level (panel potf2, blocked Trsm, blocked Syrk, packed
-// Gemm) must reproduce L·Lᵀ = A.
+// engages every level (panel potf2, panel Trsm, packed lower-triangle
+// Syrk across two macro-tiles) must reproduce L·Lᵀ = A.
 func TestPotrfLargeReconstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
-	n := 2*potrfBlock + 29
+	n := mcBlock + 2*potrfPanel + 13
 	g := New(n, n)
 	fillRand(rng, g)
 	a := New(n, n)

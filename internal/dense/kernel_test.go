@@ -1,9 +1,11 @@
 package dense
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // TestMicroKernelMatchesGo cross-checks the active micro-kernel (assembly
@@ -117,5 +119,50 @@ func TestGemmZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("packed Gemm allocates %.1f objects per call in steady state, want 0", allocs)
+	}
+}
+
+// BenchmarkFactorKernels times the kernels one BTA elimination step calls,
+// single-threaded, at the block shapes of the benchmark workloads: b=30
+// (fit-chain) and b=144 (fit-ap1), with b-row and 6-row (arrow) right-hand
+// sides. Each op restores its in-place operand untimed.
+func BenchmarkFactorKernels(b *testing.B) {
+	prev := SetMaxWorkers(1)
+	defer SetMaxWorkers(prev)
+	for _, n := range []int{30, 48, 64, 96, 144} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		spd := randSPD(rng, n)
+		chol := spd.Clone()
+		if err := Potrf(chol); err != nil {
+			b.Fatal(err)
+		}
+		chol.ZeroUpper()
+		work := New(n, n)
+		fn := float64(n)
+		for _, m := range []int{n, 6} {
+			panel0 := randMat(rng, m, n)
+			panel := New(m, n)
+			acc := New(m, m)
+			fm := float64(m)
+			run := func(name string, flops float64, restore, call func()) {
+				b.Run(fmt.Sprintf("%s/b=%d/m=%d", name, n, m), func(b *testing.B) {
+					var busy time.Duration
+					for i := 0; i < b.N; i++ {
+						restore()
+						t0 := time.Now()
+						call()
+						busy += time.Since(t0)
+					}
+					b.ReportMetric(flops*float64(b.N)/busy.Seconds()/1e9, "GFLOP/s")
+				})
+			}
+			nop := func() {}
+			if m == n {
+				run("potrf", fn*fn*fn/3, func() { work.CopyFrom(spd) }, func() { _ = Potrf(work) })
+			}
+			run("trsmRT", fm*fn*fn, func() { panel.CopyFrom(panel0) }, func() { Trsm(Right, Trans, chol, panel) })
+			run("trsmRN", fm*fn*fn, func() { panel.CopyFrom(panel0) }, func() { Trsm(Right, NoTrans, chol, panel) })
+			run("syrk", fm*fm*fn, nop, func() { Syrk(NoTrans, -1, panel0, 1, acc) })
+		}
 	}
 }

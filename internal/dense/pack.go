@@ -13,18 +13,27 @@ const (
 )
 
 // Packing buffers are recycled through sync.Pools so steady-state GEMM
-// calls perform zero heap allocations. The A buffer carries MR·NR extra
-// trailing elements used as the edge-tile scratch (kept out of the stack so
-// the indirect micro-kernel call cannot force a heap escape per call).
-var packAPool = sync.Pool{New: func() any {
-	s := make([]float64, mcBlock*kcBlock+MR*NR)
-	return &s
-}}
+// calls perform zero heap allocations. A buffer is sized to the panels of
+// the call that allocates it rather than to the blocking maximum (kc·nc
+// elements, 1 MiB, for B): a drawn buffer too small for the call is
+// dropped and replaced, so pooled buffers grow to the largest panels the
+// process packs, and a process whose blocks are small (b=30) holds small
+// buffers. The A buffer carries MR·NR extra leading elements used as the
+// edge-tile scratch (kept out of the stack so the indirect micro-kernel
+// call cannot force a heap escape per call).
+var packAPool, packBPool sync.Pool
 
-var packBPool = sync.Pool{New: func() any {
-	s := make([]float64, kcBlock*ncBlock)
+// getPackBuf returns a buffer of at least n elements from the pool.
+func getPackBuf(p *sync.Pool, n int) *[]float64 {
+	if bp, ok := p.Get().(*[]float64); ok && len(*bp) >= n {
+		return bp
+	}
+	s := make([]float64, n)
 	return &s
-}}
+}
+
+// roundUp rounds n up to a multiple of m.
+func roundUp(n, m int) int { return (n + m - 1) / m * m }
 
 // packPanelsA packs op(A)[i0:i0+mcb, p0:p0+kcb] into MR-interleaved
 // micro-panels: panel ip holds rows [ip,ip+MR) k-major, so the micro-kernel
@@ -108,7 +117,13 @@ func packPanelsB(dst []float64, trans Transpose, bData []float64, bStride, p0, j
 // the packed panels. cData points at the (0,0) element of the C block, with
 // row stride ldc. Full MR×NR tiles hit C directly; edge tiles go through
 // the zero-padded scratch tile and only the valid region is accumulated.
-func macroKernel(mcb, ncb, kcb int, aPan, bPan, tile, cData []float64, ldc int) {
+//
+// With lower set, only the lower triangle of a symmetric C is accumulated:
+// the block's first row sits d rows below the diagonal element of its first
+// column (d = ic − jc ≥ 0). Tiles strictly above the diagonal are skipped,
+// and tiles the diagonal crosses go through the scratch tile like edge
+// tiles, keeping only the entries on or below it.
+func macroKernel(mcb, ncb, kcb int, aPan, bPan, tile, cData []float64, ldc int, lower bool, d int) {
 	for jp := 0; jp < ncb; jp += NR {
 		w := NR
 		if jp+w > ncb {
@@ -120,8 +135,12 @@ func macroKernel(mcb, ncb, kcb int, aPan, bPan, tile, cData []float64, ldc int) 
 			if ip+h > mcb {
 				h = mcb - ip
 			}
+			if lower && d+ip+h <= jp {
+				continue // every row of the tile lies above the diagonal
+			}
 			ap := aPan[(ip/MR)*MR*kcb:]
-			if h == MR && w == NR {
+			crosses := lower && d+ip < jp+w-1
+			if h == MR && w == NR && !crosses {
 				ukernel(kcb, ap, bp, cData[ip*ldc+jp:], ldc)
 				continue
 			}
@@ -130,8 +149,15 @@ func macroKernel(mcb, ncb, kcb int, aPan, bPan, tile, cData []float64, ldc int) 
 			}
 			ukernel(kcb, ap, bp, tile, NR)
 			for r := 0; r < h; r++ {
-				crow := cData[(ip+r)*ldc+jp : (ip+r)*ldc+jp+w]
-				trow := tile[r*NR : r*NR+w]
+				wr := w
+				if crosses {
+					wr = min(w, d+ip+r-jp+1) // columns jp+c with c ≤ row − jp
+				}
+				if wr <= 0 {
+					continue
+				}
+				crow := cData[(ip+r)*ldc+jp : (ip+r)*ldc+jp+wr]
+				trow := tile[r*NR : r*NR+wr]
 				for j, v := range trow {
 					crow[j] += v
 				}
@@ -140,61 +166,100 @@ func macroKernel(mcb, ncb, kcb int, aPan, bPan, tile, cData []float64, ldc int) 
 	}
 }
 
+// packedOp is one call of the packed engine: C += alpha·op(A)·op(B), or
+// with lower set only the lower triangle of C += alpha·op(A)·op(A)ᵀ (Syrk,
+// where op(B) = op(A)ᵀ is the same storage read with the other transpose).
+// Matrix operands are unwrapped to (data, stride) immediately: the
+// goroutine closures below must never capture a *Matrix, or escape analysis
+// would heap-allocate every View the blocked Potrf/Trsm/Syrk callers pass in.
+type packedOp struct {
+	transA, transB Transpose
+	alpha          float64
+	aData          []float64
+	aStride        int
+	bData          []float64
+	bStride        int
+	cData          []float64
+	cStride        int
+	m, n, k        int // C is m×n, the product depth k
+	lower          bool
+}
+
 // gemmPacked computes C += alpha·op(A)·op(B) through the packed micro-kernel
-// engine. Parallelism is over mc-sized macro-tiles of C rows: the packed B
-// panel is shared read-only, each worker packs its own A panel. Matrix
-// operands are unwrapped to (data, stride) immediately: the goroutine
-// closures below must never capture a *Matrix, or escape analysis would
-// heap-allocate every View the blocked Potrf/Trsm/Syrk callers pass in.
+// engine.
 func gemmPacked(transA, transB Transpose, alpha float64, a, b, c *Matrix) {
-	m, n := c.Rows, c.Cols
 	k := a.Cols
 	if transA == Trans {
 		k = a.Rows
 	}
-	aData, aStride := a.Data, a.Stride
-	bData, bStride := b.Data, b.Stride
-	cData, cStride := c.Data, c.Stride
-	bBufP := packBPool.Get().(*[]float64)
+	runPacked(packedOp{transA: transA, transB: transB, alpha: alpha,
+		aData: a.Data, aStride: a.Stride, bData: b.Data, bStride: b.Stride,
+		cData: c.Data, cStride: c.Stride, m: c.Rows, n: c.Cols, k: k})
+}
+
+// syrkPacked accumulates the lower triangle of C += alpha·op(A)·op(A)ᵀ in
+// one packed pass: GEMM's blocking, with the macro-tiles and register
+// tiles above the diagonal skipped.
+func syrkPacked(trans Transpose, alpha float64, a, c *Matrix) {
+	n, k := opShape(trans, a)
+	runPacked(packedOp{transA: trans, transB: !trans, alpha: alpha,
+		aData: a.Data, aStride: a.Stride, bData: a.Data, bStride: a.Stride,
+		cData: c.Data, cStride: c.Stride, m: n, n: n, k: k, lower: true})
+}
+
+// runPacked drives the GotoBLAS loops of one packed-engine call.
+// Parallelism is over mc-sized macro-tiles of C rows: the packed B panel is
+// shared read-only, each worker packs its own A panel.
+func runPacked(op packedOp) {
+	bBufP := getPackBuf(&packBPool, min(op.k, kcBlock)*roundUp(min(op.n, ncBlock), NR))
 	bBuf := *bBufP
-	for jc := 0; jc < n; jc += ncBlock {
-		ncb := min(ncBlock, n-jc)
-		for pc := 0; pc < k; pc += kcBlock {
-			kcb := min(kcBlock, k-pc)
-			packPanelsB(bBuf, transB, bData, bStride, pc, jc, kcb, ncb)
-			nTiles := (m + mcBlock - 1) / mcBlock
-			if MaxWorkers() <= 1 || nTiles < 2 {
+	nTiles := (op.m + mcBlock - 1) / mcBlock
+	for jc := 0; jc < op.n; jc += ncBlock {
+		ncb := min(ncBlock, op.n-jc)
+		// Lower triangle: macro-tiles wholly above column jc hold no entry
+		// on or below the diagonal (ncBlock is a multiple of mcBlock).
+		t0 := 0
+		if op.lower {
+			t0 = jc / mcBlock
+		}
+		for pc := 0; pc < op.k; pc += kcBlock {
+			kcb := min(kcBlock, op.k-pc)
+			packPanelsB(bBuf, op.transB, op.bData, op.bStride, pc, jc, kcb, ncb)
+			if MaxWorkers() <= 1 || nTiles-t0 < 2 {
 				// Serial fast path: no closure, zero per-call allocations.
-				gemmTileRange(0, nTiles, transA, alpha, aData, aStride, cData, cStride, bBuf, m, pc, jc, kcb, ncb)
+				op.tileRange(t0, nTiles, bBuf, pc, jc, kcb, ncb)
 			} else {
-				gemmTilesParallel(nTiles, transA, alpha, aData, aStride, cData, cStride, bBuf, m, pc, jc, kcb, ncb)
+				op.tilesParallel(t0, nTiles, bBuf, pc, jc, kcb, ncb)
 			}
 		}
 	}
 	packBPool.Put(bBufP)
 }
 
-// gemmTilesParallel fans the macro-tile sweep out across workers. It lives
-// in its own function so the closure (and the heap moves of its captures)
+// tilesParallel fans the macro-tile sweep out across workers. It lives in
+// its own function so the closure (and the heap moves of its captures)
 // only exists when parallelism is actually used — the serial path in
-// gemmPacked must stay allocation-free.
-func gemmTilesParallel(nTiles int, transA Transpose, alpha float64, aData []float64, aStride int, cData []float64, cStride int, bBuf []float64, m, pc, jc, kcb, ncb int) {
-	parForTiles(nTiles, func(t0, t1 int) {
-		gemmTileRange(t0, t1, transA, alpha, aData, aStride, cData, cStride, bBuf, m, pc, jc, kcb, ncb)
+// runPacked must stay allocation-free.
+func (op packedOp) tilesParallel(t0, t1 int, bBuf []float64, pc, jc, kcb, ncb int) {
+	parForTiles(t1-t0, func(lo, hi int) {
+		op.tileRange(t0+lo, t0+hi, bBuf, pc, jc, kcb, ncb)
 	})
 }
 
-// gemmTileRange processes macro-tiles [t0,t1) of C rows against the shared
+// tileRange processes macro-tiles [t0,t1) of C rows against the shared
 // packed B panel: pack the worker-private A panel, run the macro-kernel.
-func gemmTileRange(t0, t1 int, transA Transpose, alpha float64, aData []float64, aStride int, cData []float64, cStride int, bBuf []float64, m, pc, jc, kcb, ncb int) {
-	aBufP := packAPool.Get().(*[]float64)
-	aBuf := *aBufP
-	tile := aBuf[mcBlock*kcBlock:]
+func (op packedOp) tileRange(t0, t1 int, bBuf []float64, pc, jc, kcb, ncb int) {
+	aBufP := getPackBuf(&packAPool, MR*NR+roundUp(min(op.m-t0*mcBlock, mcBlock), MR)*kcb)
+	tile, aBuf := (*aBufP)[:MR*NR], (*aBufP)[MR*NR:]
 	for t := t0; t < t1; t++ {
 		ic := t * mcBlock
-		mcb := min(mcBlock, m-ic)
-		packPanelsA(aBuf, transA, aData, aStride, ic, pc, mcb, kcb, alpha)
-		macroKernel(mcb, ncb, kcb, aBuf, bBuf, tile, cData[ic*cStride+jc:], cStride)
+		mcb := min(mcBlock, op.m-ic)
+		nb := ncb
+		if op.lower {
+			nb = min(ncb, ic+mcb-jc) // later columns lie above the diagonal
+		}
+		packPanelsA(aBuf, op.transA, op.aData, op.aStride, ic, pc, mcb, kcb, op.alpha)
+		macroKernel(mcb, nb, kcb, aBuf, bBuf, tile, op.cData[ic*op.cStride+jc:], op.cStride, op.lower, ic-jc)
 	}
 	packAPool.Put(aBufP)
 }

@@ -98,8 +98,8 @@ func gemmSmallTT(alpha float64, a, b, c *Matrix) {
 }
 
 // syrkRef accumulates the lower triangle of C += alpha·op(A)·op(A)ᵀ with
-// plain loops; used on diagonal blocks of the blocked Syrk and as the test
-// reference.
+// plain loops; Syrk's path for shapes below the packed pass, and the test
+// reference of syrkPacked.
 func syrkRef(trans Transpose, alpha float64, a *Matrix, c *Matrix) {
 	n := c.Rows
 	if trans == NoTrans {

@@ -246,14 +246,24 @@ func evalFobjScratch(m *model.Model, prior Prior, theta []float64, runS2 bool, s
 		ldQc = fc.LogDet()
 	}
 	if runS2 {
+		// A panic on the Q_p goroutine is recovered there and re-raised here,
+		// on the caller's goroutine, where EvalBatch quarantines the point;
+		// left on its own goroutine it would end the process.
 		var wg sync.WaitGroup
+		var qpPanic any
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() { qpPanic = recover() }()
 			qpPipeline()
 		}()
-		qcPipeline()
-		wg.Wait()
+		func() {
+			defer wg.Wait() // the Q_p goroutine shares ws: never leave it running
+			qcPipeline()
+		}()
+		if qpPanic != nil {
+			panic(qpPanic)
+		}
 	} else {
 		qpPipeline()
 		qcPipeline()

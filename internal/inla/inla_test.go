@@ -344,6 +344,47 @@ func TestUnderflowedRangeIsInfeasible(t *testing.T) {
 	}
 }
 
+// TestS2QpPanicIsQuarantined: a panic in the Q_p pipeline, which S2 runs
+// on a goroutine of its own, reaches the caller instead of ending the
+// process: EvalFobj re-raises it on the calling goroutine, and EvalBatch
+// quarantines the point as +Inf and drops the poisoned scratch.
+func TestS2QpPanicIsQuarantined(t *testing.T) {
+	ds := genSmall(t, 1)
+	prior := WeakPrior(ds.Theta0, 5)
+	poisoned := func() *solverScratch {
+		ws := newSolverScratch(ds.Model)
+		ws.qp.Diag[0].Data = nil // Q_p assembly indexes past its end
+		return ws
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a Q_p panic must surface on the calling goroutine")
+			}
+		}()
+		_, _ = evalFobjScratch(ds.Model, prior, ds.Theta0, true, solverSpec{parts: 1}, poisoned())
+	}()
+
+	e := &BTAEvaluator{Model: ds.Model, Prior: prior, S2: true, Workers: 1}
+	made := 0
+	e.scratch.New = func() any { // the first scratch is poisoned, later ones healthy
+		made++
+		if made == 1 {
+			return poisoned()
+		}
+		return newSolverScratch(ds.Model)
+	}
+	if v := e.EvalBatch([][]float64{ds.Theta0})[0]; !math.IsInf(v, 1) {
+		t.Fatalf("point with a Q_p panic = %v, want +Inf", v)
+	}
+	if e.EvalFailures() != 1 {
+		t.Fatalf("EvalFailures = %d, want 1", e.EvalFailures())
+	}
+	if v := e.EvalBatch([][]float64{ds.Theta0})[0]; math.IsInf(v, 0) || math.IsNaN(v) {
+		t.Fatalf("next evaluation = %v: the poisoned scratch was pooled", v)
+	}
+}
+
 func TestThetaLayoutAndMarginals(t *testing.T) {
 	names, logs := ThetaLayout(3, 3, true)
 	if len(names) != 15 || len(logs) != 15 {
